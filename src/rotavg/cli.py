@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -141,16 +142,6 @@ def _cmd_average(args) -> int:
     return EXIT_OK
 
 
-def _enumerate_rows(args, cache: ValueCache):
-    return rank_table(
-        args.rank,
-        cache=cache,
-        nonzero=args.nonzero,
-        canonical_only=args.canonical,
-        threads=args.threads,
-    )
-
-
 def _cmd_enumerate(args) -> int:
     if args.rank < 0 or args.rank > args.max_rank:
         print(
@@ -158,21 +149,40 @@ def _cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_LIMIT
-    cache = _cache_from_env()
+    rows = rank_table(
+        args.rank, cache=_cache_from_env(), nonzero=args.nonzero, canonical_only=args.canonical
+    )
+    # Each row is its matrix followed by a tail that depends only on the
+    # value; the tail is rendered once per value object by the same json/csv
+    # code that would render the whole row, so the bytes match it.  Rows
+    # share a few value objects, and keying by id() skips Fraction.__hash__;
+    # each entry keeps its object alive, so an id is never reused meanwhile.
+    tails: dict = {}
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        head = "%d,%d,%d,%d,%d,%d,%d,%d,%d,"
+        sink = io.StringIO()
+        writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["Q", "R", "S", "T", "U", "V", "W", "X", "Y", "rank", "value", "value_float"])
-        for chi, value in _enumerate_rows(args, cache):
-            writer.writerow(list(chi.flat) + [chi.rank, format_rational(value), repr(float(value))])
+        sys.stdout.write(sink.getvalue())
+
+        def render_tail(value):
+            sink.seek(0)
+            sink.truncate()
+            writer.writerow([args.rank, format_rational(value), repr(float(value))])
+            return sink.getvalue()
     else:
-        for chi, value in _enumerate_rows(args, cache):
-            record = {
-                "chi": chi.to_lists(),
-                "rank": chi.rank,
-                "value": format_rational(value),
-                "value_float": float(value),
-            }
-            print(json.dumps(record))
+        head = '{"chi": [[%d, %d, %d], [%d, %d, %d], [%d, %d, %d]], '
+
+        def render_tail(value):
+            record = {"rank": args.rank, "value": format_rational(value), "value_float": float(value)}
+            return json.dumps(record)[1:] + "\n"
+
+    write = sys.stdout.write
+    for chi, value in rows:
+        entry = tails.get(id(value))
+        if entry is None:
+            entry = tails[id(value)] = (value, render_tail(value))
+        write(head % chi.flat + entry[1])
     return EXIT_OK
 
 
@@ -296,12 +306,6 @@ def _cmd_verify(args) -> int:
         return EXIT_PARSE
     cache = _cache_from_env()
     suites = ["oracle", "beta", "props", "mc"] if args.suite == "all" else [args.suite]
-    if args.threads > 1 and any(s in ("oracle", "beta", "props") for s in suites):
-        # warm the orbit cache concurrently; the scans below then read it,
-        # so their reports cannot depend on the thread count
-        for n in ranks:
-            for _ in rank_table(n, cache=cache, threads=args.threads):
-                pass
     report = {"ranks": args.ranks, "suites": {}}
     ok = True
     for suite in suites:
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--nonzero", action="store_true", help="only matrices with nonzero average")
     p_enum.add_argument("--canonical", action="store_true", help="one representative per orbit")
     p_enum.add_argument("--format", choices=("json", "csv"), default="json")
-    p_enum.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_enum.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p_enum.add_argument("--max-rank", type=int, default=DEFAULT_ENUMERATE_LIMIT)
     p_enum.set_defaults(func=_cmd_enumerate)
 
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=("oracle", "beta", "props", "mc", "all"), default="all"
     )
     p_verify.add_argument("-n", "--ranks", default="0..6", help='rank range like "0..6" or "8"')
-    p_verify.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_verify.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p_verify.add_argument("--mc-samples", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=20240801)
     p_verify.set_defaults(func=_cmd_verify)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from numbers import Integral
 from typing import Iterable, Sequence
 
 Rows = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
@@ -26,17 +27,37 @@ class PowerMatrix:
     rows: Rows
 
     def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
+        try:
+            rows = tuple(tuple(row) for row in self.rows)
+        except TypeError:
+            raise ValueError("power matrix must be 3x3") from None
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("power matrix must be 3x3")
-        if any(e < 0 for row in rows for e in row):
-            raise ValueError("power matrix entries must be nonnegative")
+        flat = rows[0] + rows[1] + rows[2]
+        if not all(type(e) is int and e >= 0 for e in flat):
+            flat = tuple(_strict_int(e, "power matrix entry") for e in flat)
+            if any(e < 0 for e in flat):
+                raise ValueError("power matrix entries must be nonnegative")
+            rows = (flat[0:3], flat[3:6], flat[6:9])
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_flat", rows[0] + rows[1] + rows[2])
+        object.__setattr__(self, "_flat", flat)
+
+    @classmethod
+    def _trusted(cls, flat: Flat) -> "PowerMatrix":
+        """Wrap a flat 9-tuple of nonnegative ints without validating it.
+
+        Only for flats the package generated itself; every outside input
+        goes through the validating constructor.
+        """
+        chi = object.__new__(cls)
+        state = chi.__dict__
+        state["rows"] = (flat[0:3], flat[3:6], flat[6:9])
+        state["_flat"] = flat
+        return chi
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "PowerMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(tuple(rows))
 
     @classmethod
     def from_flat(cls, flat: Sequence[int]) -> "PowerMatrix":
@@ -62,6 +83,15 @@ class PowerMatrix:
         return "[" + ", ".join(str(list(row)) for row in self.rows) + "]"
 
 
+def _strict_int(value, what: str) -> int:
+    """value as an int; int() alone would truncate 1.7 and accept True or "1"."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MultiIndex:
     """Paired lab/molecular axis lists, one-based values in {1, 2, 3}."""
@@ -70,8 +100,8 @@ class MultiIndex:
     mol: tuple[int, ...]
 
     def __post_init__(self):
-        lab = tuple(int(i) for i in self.lab)
-        mol = tuple(int(i) for i in self.mol)
+        lab = tuple(_strict_int(i, "axis index") for i in self.lab)
+        mol = tuple(_strict_int(i, "axis index") for i in self.mol)
         if len(lab) != len(mol):
             raise ValueError("lab and molecular index lists must have equal length")
         if any(i not in (1, 2, 3) for i in lab + mol):
@@ -88,7 +118,7 @@ def from_multi_index(m: MultiIndex) -> PowerMatrix:
     flat = [0] * 9
     for i, lam in zip(m.lab, m.mol):
         flat[3 * (i - 1) + (lam - 1)] += 1
-    return PowerMatrix.from_flat(flat)
+    return PowerMatrix._trusted(tuple(flat))
 
 
 def selection_rule(chi: PowerMatrix) -> bool:
@@ -196,13 +226,16 @@ def _flat_source_map(op: SymmetryOp) -> Flat:
 _FLAT_OPS: tuple[tuple[Flat, int], ...] = tuple(
     (_flat_source_map(op), op.sign) for op in ALL_OPS
 )
+_OP_SOURCES: dict[SymmetryOp, Flat] = {op: src for op, (src, _) in zip(ALL_OPS, _FLAT_OPS)}
 
 
 def apply_symmetry(chi: PowerMatrix, op: SymmetryOp) -> PowerMatrix:
     """Permute rows and columns of chi by op, then transpose if flagged."""
-    src = _flat_source_map(op)
+    src = _OP_SOURCES.get(op)
+    if src is None:
+        raise ValueError(f"not one of the 72 symmetry operations: {op!r}")
     flat = chi.flat
-    return PowerMatrix.from_flat(tuple(flat[k] for k in src))
+    return PowerMatrix._trusted(tuple(flat[k] for k in src))
 
 
 @dataclass(frozen=True)
@@ -243,6 +276,45 @@ def canonical_flat(flat: Flat) -> tuple[Flat, int]:
     return best, 1 if has_plus else -1
 
 
+def is_orbit_minimum(flat: Flat) -> bool:
+    """True iff no symmetry image of flat is lexicographically smaller.
+
+    Stops at the first smaller image, so it is much cheaper than
+    :func:`canonical_flat` on the many flats that are not minima.
+    """
+    if flat[0] != min(flat):
+        return False  # some image moves the smallest entry to the front
+    for src, _ in _FLAT_OPS:
+        if (
+            flat[src[0]], flat[src[1]], flat[src[2]],
+            flat[src[3]], flat[src[4]], flat[src[5]],
+            flat[src[6]], flat[src[7]], flat[src[8]],
+        ) < flat:
+            return False
+    return True
+
+
+def orbit_signs(rep: Flat) -> dict[Flat, int]:
+    """Every image of rep mapped to the sign relating its value to rep's.
+
+    The signs are those :func:`canonical_flat` reports when rep is the orbit
+    minimum: +1 throughout at even rank, and at odd rank the sign of the
+    operations reaching the image, or 0 where opposite-signed ones meet.
+    """
+    odd = sum(rep) & 1
+    signs: dict[Flat, int] = {}
+    for src, sgn in _FLAT_OPS:
+        img = (
+            rep[src[0]], rep[src[1]], rep[src[2]],
+            rep[src[3]], rep[src[4]], rep[src[5]],
+            rep[src[6]], rep[src[7]], rep[src[8]],
+        )
+        sgn = sgn if odd else 1
+        if signs.setdefault(img, sgn) != sgn:
+            signs[img] = 0
+    return signs
+
+
 def canonicalize(chi: PowerMatrix) -> CanonicalForm:
     """Orbit-minimal form of chi under all 72 symmetries.
 
@@ -255,6 +327,4 @@ def canonicalize(chi: PowerMatrix) -> CanonicalForm:
 
 def orbit(chi: PowerMatrix) -> list[PowerMatrix]:
     """All distinct images of chi under the 72 symmetries, sorted."""
-    flat = chi.flat
-    images = {tuple(flat[k] for k in src) for src, _ in _FLAT_OPS}
-    return [PowerMatrix.from_flat(f) for f in sorted(images)]
+    return [PowerMatrix._trusted(f) for f in sorted(orbit_signs(chi.flat))]

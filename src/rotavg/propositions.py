@@ -9,22 +9,26 @@ report the orbits that break the pattern.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 from typing import Iterator, Optional
 
-from .evaluator import ValueCache, closed_form, double_factorial
+from .evaluator import ValueCache, closed_form, double_factorial, evaluate
 from .power_matrix import (
     Flat,
     PowerMatrix,
     _det_flat,
     _selection_flat,
-    canonical_flat,
     determinant,
+    is_orbit_minimum,
+    orbit_signs,
     selection_rule,
 )
+
+_ZERO = Fraction(0)
 
 # the two rank-specific exceptions to the simple vanishing rules: a rank-8
 # matrix whose average vanishes although the selection rule holds, and a
@@ -41,12 +45,16 @@ def enumeration_count(n: int) -> int:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` nonnegative ints summing to total, in lexicographic order.
+
+    Stars and bars: the running sums before each of the last parts-1 parts
+    form a nondecreasing sequence of cuts in 0..total, and the cuts come
+    out of combinations_with_replacement in the order that makes the parts
+    lexicographic.
+    """
+    head, tail = (0,), (total,)
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + tail, head + cuts))
 
 
 def enumerate_power_matrices(n: int) -> Iterator[PowerMatrix]:
@@ -54,16 +62,62 @@ def enumerate_power_matrices(n: int) -> Iterator[PowerMatrix]:
     if n < 0:
         raise ValueError("rank must be nonnegative")
     for flat in _compositions(n, 9):
-        yield PowerMatrix.from_flat(flat)
+        yield PowerMatrix._trusted(flat)
+
+
+def _representatives(n: int) -> Iterator[Flat]:
+    """The orbit-minimal flats of rank n, in lexicographic order."""
+    return filter(is_orbit_minimum, _compositions(n, 9))
 
 
 def canonical_representatives(n: int) -> list[PowerMatrix]:
     """The orbit-minimal matrices of rank n, in lexicographic order."""
-    return [
-        PowerMatrix.from_flat(flat)
-        for flat in _compositions(n, 9)
-        if canonical_flat(flat)[0] == flat
-    ]
+    return [PowerMatrix._trusted(flat) for flat in _representatives(n)]
+
+
+def _orbit_scan(n: int) -> Iterator[tuple[Flat, Optional[Flat], int]]:
+    """Every rank-n flat in lexicographic order as (flat, orbit minimum, sign).
+
+    The sign is the one :func:`rotavg.power_matrix.canonical_flat` reports.
+    The first flat of an orbit that the walk meets is its minimum; the scan
+    expands that orbit once and pops each image when the walk reaches it,
+    so it only holds images still ahead.  Orbits that fail the selection
+    rule are not expanded: their flats come with minimum None and sign 0.
+    """
+    ahead: dict[Flat, tuple[Flat, int]] = {}
+    for flat in _compositions(n, 9):
+        found = ahead.pop(flat, None)
+        if found is not None:
+            yield flat, found[0], found[1]
+        elif _selection_flat(flat):
+            signs = orbit_signs(flat)
+            sign = signs.pop(flat)
+            for image, image_sign in signs.items():
+                ahead[image] = (flat, image_sign)
+            yield flat, flat, sign
+        else:
+            yield flat, None, 0
+
+
+def _orbit_values(n: int, cache: ValueCache) -> Iterator[tuple[Flat, Fraction]]:
+    """Each selection-passing rank-n orbit as (minimal flat, exact value).
+
+    The value comes from the closed form, or is 0 where an odd-signed
+    symmetry fixes the orbit; it never comes from evaluate's rank-3 and
+    rank-5 determinant rules, so the sweeps below test the closed form
+    against the determinant laws at those ranks too.
+    """
+    for rep in _representatives(n):
+        if not _selection_flat(rep):
+            continue
+        if orbit_signs(rep)[rep] == 0:
+            yield rep, _ZERO
+            continue
+        value = cache.get(rep)
+        if value is None:
+            value = closed_form(PowerMatrix._trusted(rep))
+            cache.put(rep, value)
+        yield rep, value
 
 
 @dataclass
@@ -86,43 +140,26 @@ class PropositionReport:
         }
 
 
-def _make_report(rank: int, claim: str, checked: int, violations: set[Flat]) -> PropositionReport:
-    witnesses = [PowerMatrix.from_flat(flat) for flat in sorted(violations)]
+def _make_report(rank: int, claim: str, violations: list[Flat]) -> PropositionReport:
+    witnesses = [PowerMatrix._trusted(flat) for flat in violations]
     verdict = "holds" if not witnesses else "fails-with-witnesses"
-    return PropositionReport(rank, claim, checked, witnesses, verdict)
-
-
-def _rep_value(flat: Flat, cache: ValueCache) -> Fraction:
-    """Value of the orbit containing flat (selection rule assumed to hold)."""
-    rep, sign = canonical_flat(flat)
-    if sign == 0:
-        return Fraction(0)
-    value = cache.get(rep)
-    if value is None:
-        value = closed_form(PowerMatrix.from_flat(rep))
-        cache.put(rep, value)
-    return -value if sign < 0 else value
+    return PropositionReport(rank, claim, enumeration_count(rank), witnesses, verdict)
 
 
 def verify_even_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
     """Check "average nonzero iff the selection rule holds" over all rank-n matrices.
 
-    Violating orbits (selection rule holds, value 0) are reported through one
-    canonical witness each.  Expected to hold for n in {0, 2, 4, 6, 10, 12};
-    at n = 8 the witnesses are exactly the orbit of RANK8_EXCEPTION.
+    Values are constant on orbits up to sign, so each orbit is checked once
+    and a violating orbit (selection rule holds, value 0) is reported
+    through its canonical witness.  Expected to hold for n in
+    {0, 2, 4, 6, 10, 12}; at n = 8 the witnesses are exactly the orbit of
+    RANK8_EXCEPTION.
     """
     if n % 2:
         raise ValueError("even rank required")
     cache = cache if cache is not None else ValueCache()
-    checked = 0
-    violations: set[Flat] = set()
-    for flat in _compositions(n, 9):
-        checked += 1
-        if not _selection_flat(flat):
-            continue  # value is 0 by parity, consistent with the claim
-        if _rep_value(flat, cache) == 0:
-            violations.add(canonical_flat(flat)[0])
-    return _make_report(n, "nonzero-iff-selection-rule", checked, violations)
+    violations = [rep for rep, value in _orbit_values(n, cache) if value == 0]
+    return _make_report(n, "nonzero-iff-selection-rule", violations)
 
 
 def verify_odd_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
@@ -134,16 +171,12 @@ def verify_odd_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionRe
     if n % 2 == 0:
         raise ValueError("odd rank required")
     cache = cache if cache is not None else ValueCache()
-    checked = 0
-    violations: set[Flat] = set()
-    for flat in _compositions(n, 9):
-        checked += 1
-        if not _selection_flat(flat):
-            continue
-        nonzero = _rep_value(flat, cache) != 0
-        if nonzero != (_det_flat(flat) != 0):
-            violations.add(canonical_flat(flat)[0])
-    return _make_report(n, "nonzero-iff-selection-rule-and-det", checked, violations)
+    violations = [
+        rep
+        for rep, value in _orbit_values(n, cache)
+        if (value != 0) != (_det_flat(rep) != 0)
+    ]
+    return _make_report(n, "nonzero-iff-selection-rule-and-det", violations)
 
 
 def _is_odd_prime(n: int) -> bool:
@@ -162,15 +195,10 @@ def verify_prime_nonvanishing(n: int, cache: Optional[ValueCache] = None) -> Pro
     if not _is_odd_prime(n):
         raise ValueError("odd prime rank required")
     cache = cache if cache is not None else ValueCache()
-    checked = 0
-    violations: set[Flat] = set()
-    for flat in _compositions(n, 9):
-        checked += 1
-        if not _selection_flat(flat) or _det_flat(flat) % n == 0:
-            continue
-        if _rep_value(flat, cache) == 0:
-            violations.add(canonical_flat(flat)[0])
-    return _make_report(n, "nonzero-when-selection-holds-and-rank-coprime-det", checked, violations)
+    violations = [
+        rep for rep, value in _orbit_values(n, cache) if _det_flat(rep) % n and value == 0
+    ]
+    return _make_report(n, "nonzero-when-selection-holds-and-rank-coprime-det", violations)
 
 
 def prop_converse_witnesses(n: int, cache: Optional[ValueCache] = None) -> list[PowerMatrix]:
@@ -182,13 +210,11 @@ def prop_converse_witnesses(n: int, cache: Optional[ValueCache] = None) -> list[
     if not _is_odd_prime(n):
         raise ValueError("odd prime rank required")
     cache = cache if cache is not None else ValueCache()
-    found: set[Flat] = set()
-    for flat in _compositions(n, 9):
-        if not _selection_flat(flat) or _det_flat(flat) % n != 0:
-            continue
-        if _rep_value(flat, cache) != 0:
-            found.add(canonical_flat(flat)[0])
-    return [PowerMatrix.from_flat(flat) for flat in sorted(found)]
+    return [
+        PowerMatrix._trusted(rep)
+        for rep, value in _orbit_values(n, cache)
+        if _det_flat(rep) % n == 0 and value != 0
+    ]
 
 
 def counterexample_family(v: int, y: int, w: int) -> PowerMatrix:
@@ -240,48 +266,29 @@ def rank_table(
 ) -> Iterator[tuple[PowerMatrix, Fraction]]:
     """All rank-n matrices with their exact averages, in lexicographic order.
 
-    Values match :func:`rotavg.evaluator.evaluate` exactly.  With threads > 1
-    the per-orbit closed forms are precomputed concurrently; the emitted
-    stream is identical regardless of thread count.
+    Values match :func:`rotavg.evaluator.evaluate` exactly, which runs once
+    per selection-passing orbit; every other row follows from the orbit scan.
+    ``threads`` is accepted for compatibility and ignored.
     """
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
     cache = cache if cache is not None else ValueCache()
-    det_rank = n in (3, 5)
-    entries: list[tuple[Flat, Optional[Flat], int, bool]] = []
-    for flat in _compositions(n, 9):
-        sel = _selection_flat(flat)
-        if canonical_only or (sel and not det_rank):
-            rep, sign = canonical_flat(flat)
-            if canonical_only and rep != flat:
-                continue
+    if canonical_only:
+        for rep in _representatives(n):
+            chi = PowerMatrix._trusted(rep)
+            value = evaluate(chi, cache)
+            if not nonzero or value:
+                yield chi, value
+        return
+    signed: dict[Flat, tuple[Fraction, Fraction, Fraction]] = {}  # by sign 0, 1, -1
+    for flat, rep, sign in _orbit_scan(n):
+        if rep is None:
+            value = _ZERO
         else:
-            rep, sign = None, 1
-        entries.append((flat, rep, sign, sel))
-    if not det_rank:
-        missing = list(
-            dict.fromkeys(
-                rep
-                for _, rep, sign, sel in entries
-                if sel and sign != 0 and cache.get(rep) is None
-            )
-        )
-        if threads > 1 and missing:
-            def _fill(rep: Flat) -> None:
-                cache.put(rep, closed_form(PowerMatrix.from_flat(rep)))
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(_fill, missing))
-        else:
-            for rep in missing:
-                cache.put(rep, closed_form(PowerMatrix.from_flat(rep)))
-    for flat, rep, sign, sel in entries:
-        if not sel or sign == 0:
-            value = Fraction(0)
-        elif det_rank:
-            value = Fraction(_det_flat(flat), 6 if n == 3 else 30)
-        else:
-            value = cache.get(rep)
-            if sign < 0:
-                value = -value
-        if nonzero and value == 0:
-            continue
-        yield PowerMatrix.from_flat(flat), value
+            values = signed.get(rep)
+            if values is None:
+                value = evaluate(PowerMatrix._trusted(rep), cache)
+                values = signed[rep] = (_ZERO, value, -value)
+            value = values[sign]
+        if not nonzero or value:
+            yield PowerMatrix._trusted(flat), value

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Optional
 
 from .evaluator import ValueCache, evaluate
-from .power_matrix import PowerMatrix
+from .power_matrix import PowerMatrix, _strict_int
 from .rationals import format_rational, parse_rational
 
 IndexTuple = tuple[int, ...]
@@ -43,6 +43,17 @@ def _coerce_value(value, mode: str):
     return float(value)
 
 
+def _index_tuple(idx, rank: int) -> IndexTuple:
+    """A component's index as a tuple of ints in {1, 2, 3}, one per tensor slot."""
+    try:
+        idx = tuple(_strict_int(i, "tensor index") for i in idx)
+    except TypeError:
+        raise ValueError(f"bad index tuple {idx!r}") from None
+    if len(idx) != rank or any(i not in (1, 2, 3) for i in idx):
+        raise ValueError(f"bad index tuple {idx} for rank {rank}")
+    return idx
+
+
 @dataclass
 class DenseTensor:
     """Rank-n tensor over one-based index tuples; omitted components are zero."""
@@ -52,15 +63,14 @@ class DenseTensor:
     components: dict[IndexTuple, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.rank = _strict_int(self.rank, "tensor rank")
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         cleaned = {}
         for idx, value in self.components.items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != self.rank or any(i not in (1, 2, 3) for i in idx):
-                raise ValueError(f"bad index tuple {idx} for rank {self.rank}")
+            idx = _index_tuple(idx, self.rank)
             value = _coerce_value(value, self.mode)
             if value:
                 cleaned[idx] = value
@@ -97,7 +107,7 @@ class DenseTensor:
         if not isinstance(obj, dict):
             raise ValueError("tensor file must hold a JSON object")
         try:
-            rank = int(obj["rank"])
+            rank = _strict_int(obj["rank"], "tensor rank")
             mode = obj["mode"]
             records = obj["components"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -108,7 +118,7 @@ class DenseTensor:
         for record in records:
             if not isinstance(record, dict) or "idx" not in record or "value" not in record:
                 raise ValueError(f"bad component record: {record!r}")
-            idx = tuple(record["idx"])
+            idx = _index_tuple(record["idx"], rank)
             if idx in components:
                 raise ValueError(f"duplicate index tuple {list(idx)}")
             components[idx] = record["value"]

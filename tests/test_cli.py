@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rotavg import PowerMatrix, canonicalize, determinant, parse_rational
+from rotavg import PowerMatrix, ValueCache, canonicalize, determinant, parse_rational, rank_table
 from rotavg.cli import EXIT_LIMIT, EXIT_OK, EXIT_PARSE, main
 from rotavg.propositions import canonical_representatives
 
@@ -51,6 +51,15 @@ class TestCompute:
     def test_negative_entries_rejected(self, capsys):
         code, _ = run_cli(capsys, "compute", "--chi", "[[-1,0,0],[0,1,0],[0,0,1]]")
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "chi", ["[[1.7,0,0],[0,true,0],[0,0,1]]", '[[1,0,0],[0,"1",0],[0,0,1]]', "[1,0,0]"]
+    )
+    def test_non_integer_entries_rejected(self, capsys, chi):
+        # 1.7 and true once read as the identity matrix
+        code, out = run_cli(capsys, "compute", "--chi", chi)
+        assert code == EXIT_PARSE
+        assert out == ""
 
     def test_index_digits_validated(self, capsys):
         code, _ = run_cli(capsys, "compute", "--indices", "14,22,33")
@@ -123,6 +132,26 @@ class TestEnumerate:
     def test_rank_over_limit(self, capsys):
         code, _ = run_cli(capsys, "enumerate", "-n", "9", "--max-rank", "8")
         assert code == EXIT_LIMIT
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("canonical", [False, True])
+    @pytest.mark.parametrize("nonzero", [False, True])
+    def test_output_matches_row_by_row_rendering(self, capsys, fmt, canonical, nonzero):
+        flags = ["--canonical"] * canonical + ["--nonzero"] * nonzero
+        for n in range(10):
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            if fmt == "csv":
+                writer.writerow(["Q", "R", "S", "T", "U", "V", "W", "X", "Y", "rank", "value", "value_float"])
+            for chi, value in rank_table(n, ValueCache(), nonzero=nonzero, canonical_only=canonical):
+                if fmt == "csv":
+                    writer.writerow(list(chi.flat) + [n, str(value), repr(float(value))])
+                else:
+                    record = {"chi": chi.to_lists(), "rank": n, "value": str(value), "value_float": float(value)}
+                    expected.write(json.dumps(record) + "\n")
+            code, out = run_cli(capsys, "enumerate", "-n", str(n), "--format", fmt, *flags)
+            assert code == EXIT_OK
+            assert out == expected.getvalue()
 
 
 def write_tensor(tmp_path, name, obj):
@@ -207,6 +236,26 @@ class TestAverage:
         )
         code, _ = run_cli(capsys, "average", path)
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            # a fractional rank was once read as rank 2
+            {"rank": 2.9, "mode": "exact", "components": [{"idx": [1, 1], "value": "1"}]},
+            {"rank": True, "mode": "exact", "components": [{"idx": [1], "value": "1"}]},
+            # ["1", 1.5] once became (1, 1) and overwrote the real (1, 1) entry
+            {
+                "rank": 2,
+                "mode": "exact",
+                "components": [{"idx": [1, 1], "value": "1"}, {"idx": ["1", 1.5], "value": "5"}],
+            },
+            {"rank": 1, "mode": "exact", "components": [{"idx": 1, "value": "1"}]},
+        ],
+    )
+    def test_non_integer_rank_or_index_is_a_parse_error(self, capsys, tmp_path, obj):
+        code, out = run_cli(capsys, "average", write_tensor(tmp_path, "bad.json", obj))
+        assert code == EXIT_PARSE
+        assert out == ""
 
     def test_unreadable_file_is_a_parse_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "average", str(tmp_path / "missing.json"))

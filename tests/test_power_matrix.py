@@ -33,6 +33,11 @@ class TestPowerMatrix:
         with pytest.raises(ValueError):
             PowerMatrix.from_flat((1, 2, 3))
 
+    @pytest.mark.parametrize("entry", [1.0, 1.7, True, "1", None])
+    def test_rejects_non_integer_entries(self, entry):
+        with pytest.raises(ValueError):
+            PowerMatrix(((entry, 0, 0), (0, 1, 0), (0, 0, 1)))
+
     def test_flat_and_rank(self):
         chi = PowerMatrix(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
         assert chi.flat == (1, 2, 3, 4, 5, 6, 7, 8, 9)
@@ -110,6 +115,10 @@ class TestSymmetryGroup:
     def test_identity_op(self):
         chi = PowerMatrix(((1, 2, 0), (0, 0, 3), (0, 1, 0)))
         assert apply_symmetry(chi, IDENTITY_OP) == chi
+
+    def test_rejects_non_permutation_op(self):
+        with pytest.raises(ValueError):
+            apply_symmetry(IDENT3, SymmetryOp((0, 0, 1), (0, 1, 2)))
 
     def test_transpose(self):
         chi = PowerMatrix(((0, 1, 0), (0, 0, 0), (0, 0, 0)))

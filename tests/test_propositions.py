@@ -27,7 +27,9 @@ from rotavg import (
     verify_odd_rule,
     verify_prime_nonvanishing,
 )
-from rotavg.propositions import canonical_representatives
+from rotavg.power_matrix import _selection_flat, canonical_flat
+from rotavg import propositions
+from rotavg.propositions import _orbit_scan, canonical_representatives
 
 
 class TestEnumeration:
@@ -61,6 +63,28 @@ class TestEnumeration:
     def test_orbit_sizes_partition_the_rank(self, n):
         total = sum(len(orbit(chi)) for chi in canonical_representatives(n))
         assert total == enumeration_count(n)
+
+
+class TestOrbitScan:
+    def test_matches_canonical_flat_through_rank_11(self):
+        sign_zero_at_odd_rank = 0
+        for n in range(12):
+            flats = []
+            for flat, rep, sign in _orbit_scan(n):
+                flats.append(flat)
+                if _selection_flat(flat):
+                    assert (rep, sign) == canonical_flat(flat)
+                    sign_zero_at_odd_rank += n % 2 == 1 and sign == 0
+                else:
+                    assert (rep, sign) == (None, 0)
+            assert flats == sorted(set(flats))
+            assert len(flats) == enumeration_count(n)
+        assert sign_zero_at_odd_rank > 0
+
+    @pytest.mark.parametrize("n", [3, 8, 9])
+    def test_representatives_are_the_canonical_fixed_points(self, n):
+        expected = [chi for chi in enumerate_power_matrices(n) if canonical_flat(chi.flat)[0] == chi.flat]
+        assert canonical_representatives(n) == expected
 
 
 class TestEvenRule:
@@ -110,6 +134,29 @@ class TestOddRule:
     def test_prime_rank7_nonvanishing(self, cache):
         report = verify_prime_nonvanishing(7, cache)
         assert report.verdict == "holds"
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_sweeps_check_the_closed_form_at_determinant_ranks(self, n, monkeypatch):
+        # evaluate answers ranks 3 and 5 from the determinant; the sweeps
+        # must not, or comparing the value with the determinant proves nothing
+        real = propositions.closed_form
+        calls = []
+
+        def counted(chi):
+            calls.append(chi.flat)
+            return real(chi)
+
+        def flipped(chi):
+            return Fraction(0) if real(chi) else Fraction(1)
+
+        monkeypatch.setattr(propositions, "closed_form", counted)
+        for sweep in (verify_odd_rule, verify_prime_nonvanishing, prop_converse_witnesses):
+            calls.clear()
+            sweep(n, ValueCache())
+            assert calls, sweep.__name__
+        monkeypatch.setattr(propositions, "closed_form", flipped)
+        assert verify_odd_rule(n, ValueCache()).verdict == "fails-with-witnesses"
+        assert verify_prime_nonvanishing(n, ValueCache()).verdict == "fails-with-witnesses"
 
     def test_prime_check_rejects_composites(self):
         with pytest.raises(ValueError):
