@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Export exact average tables, one JSONL file per rank.
 
-Each line holds a matrix, its rank and the exact value as "p/q".  Useful as
-lookup tables for response-tensor calculations where the same averages recur.
+Each file holds the output of ``rotavg enumerate -n K``: per matrix its rank
+and exact value as "p/q", a lookup table for response-tensor calculations.
+Exit codes are rotavg's: 0 success, 2 bad --ranks, 3 a rank above
+enumerate's ceiling; a rank that fails leaves no file behind.
 
 Usage:
     python scripts/export_rank_tables.py --ranks 0..6 --outdir tables [--nonzero]
 """
 
 import argparse
-import json
+import contextlib
 import sys
 import time
 from pathlib import Path
 
-from rotavg import ValueCache, format_rational
-from rotavg.propositions import rank_table
+from rotavg.cli import EXIT_PARSE, _parse_rank_range, main as rotavg
 
 
 def main() -> int:
@@ -26,35 +27,24 @@ def main() -> int:
     parser.add_argument("--canonical", action="store_true", help="one row per orbit")
     args = parser.parse_args()
 
-    if ".." in args.ranks:
-        lo, hi = (int(x) for x in args.ranks.split("..", 1))
-    else:
-        lo = hi = int(args.ranks)
+    try:
+        ranks = _parse_rank_range(args.ranks)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    flags = ["--nonzero"] * args.nonzero + ["--canonical"] * args.canonical
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cache = ValueCache()
-    for n in range(lo, hi + 1):
+    for n in ranks:
         t0 = time.perf_counter()
         path = outdir / f"rank{n:02d}.jsonl"
-        count = 0
-        with path.open("w", encoding="utf-8") as handle:
-            for chi, value in rank_table(
-                n, cache, nonzero=args.nonzero, canonical_only=args.canonical
-            ):
-                handle.write(
-                    json.dumps(
-                        {
-                            "chi": chi.to_lists(),
-                            "rank": n,
-                            "value": format_rational(value),
-                            "value_float": float(value),
-                        }
-                    )
-                    + "\n"
-                )
-                count += 1
-        print(f"rank {n}: {count} rows -> {path} ({time.perf_counter()-t0:.2f}s)")
+        with path.open("w", encoding="utf-8") as handle, contextlib.redirect_stdout(handle):
+            code = rotavg(["enumerate", "-n", str(n), *flags])
+        if code:
+            path.unlink()
+            return code
+        print(f"rank {n}: -> {path} ({time.perf_counter()-t0:.2f}s)")
     return 0
 
 

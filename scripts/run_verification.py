@@ -1,98 +1,62 @@
 #!/usr/bin/env python3
-"""Run the full cross-check battery and write a JSON report.
+"""Run the full cross-check battery and write one JSON report.
 
-Compares the closed-form evaluator against the exact beta path and the
-floating-point quadrature/Monte Carlo oracles, then sweeps the vanishing
-rules rank by rank.  Exits nonzero if anything unexpected shows up.
+Runs ``rotavg verify --suite all -n 0..M``, then ``--suite props -n M+1..P``
+when P > M.  The report is {"pass": bool, "runs": [<rotavg verify report>,
+...]}; the exit code is the highest of the runs: 0 pass, 1 a check failed,
+2 a bad rank range.
 
 Usage:
     python scripts/run_verification.py [--max-rank 8] [--props-max-rank 13]
-        [--mc-samples 1000000] [--out report.json]
+        [--mc-samples N] [--seed S] [--out report.json]
 """
 
 import argparse
+import contextlib
+import io
 import json
 import sys
-import time
 
-from rotavg import (
-    ValueCache,
-    beta_path,
-    default_mc_battery,
-    evaluate,
-    monte_carlo_average,
-    quadrature_average,
-    verify_even_rule,
-    verify_odd_rule,
-)
-from rotavg.cli import EVEN_RULE_RANKS, ODD_RULE_RANKS
-from rotavg.propositions import canonical_representatives
+from rotavg.cli import EXIT_PARSE, main as rotavg
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-rank", type=int, default=8,
-                        help="top rank for the beta/quadrature sweeps (default 8)")
+                        help="top rank for every suite (default 8)")
     parser.add_argument("--props-max-rank", type=int, default=13,
                         help="top rank for the vanishing-rule sweeps (default 13)")
-    parser.add_argument("--mc-samples", type=int, default=1_000_000)
-    parser.add_argument("--seed", type=int, default=20240801)
+    parser.add_argument("--mc-samples", type=int, help="default: rotavg verify's")
+    parser.add_argument("--seed", type=int, help="default: rotavg verify's")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     args = parser.parse_args()
 
-    cache = ValueCache()
-    report = {"ok": True}
-    t0 = time.perf_counter()
+    mc = [f"--{name}={value}" for name, value in
+          (("mc-samples", args.mc_samples), ("seed", args.seed)) if value is not None]
+    commands = [["verify", "--suite", "all", "-n", f"0..{args.max_rank}", *mc]]
+    if args.props_max_rank > args.max_rank:
+        props = f"{args.max_rank + 1}..{args.props_max_rank}"
+        commands.append(["verify", "--suite", "props", "-n", props])
 
-    reps = {n: canonical_representatives(n) for n in range(args.max_rank + 1)}
-
-    beta_bad = []
-    for n, chis in reps.items():
-        for chi in chis:
-            r = beta_path(chi)
-            if r.pi_power != 0 or r.coefficient != evaluate(chi, cache):
-                beta_bad.append(chi.to_lists())
-    report["beta_path"] = {"checked": sum(map(len, reps.values())), "failures": beta_bad}
-
-    worst = 0.0
-    for n, chis in reps.items():
-        for chi in chis:
-            worst = max(worst, abs(quadrature_average(chi) - float(evaluate(chi, cache))))
-    report["quadrature"] = {"max_abs_delta": worst, "tolerance": 1e-10, "ok": worst <= 1e-10}
-
-    covered = 0
-    battery = default_mc_battery()
-    for i, chi in enumerate(battery):
-        mean, stderr = monte_carlo_average(chi, args.mc_samples, args.seed + i)
-        covered += abs(mean - float(evaluate(chi, cache))) <= 5 * stderr
-    report["monte_carlo"] = {"battery": len(battery), "covered": covered,
-                             "ok": covered >= len(battery) - 1}
-
-    rules = []
-    for n in range(args.props_max_rank + 1):
-        rep = verify_even_rule(n, cache) if n % 2 == 0 else verify_odd_rule(n, cache)
-        expected_holds = n in EVEN_RULE_RANKS or n in ODD_RULE_RANKS
-        entry = rep.to_json_obj()
-        entry["ok"] = (rep.verdict == "holds") if expected_holds else True
-        rules.append(entry)
-    report["vanishing_rules"] = rules
-
-    report["ok"] = (
-        not beta_bad
-        and report["quadrature"]["ok"]
-        and report["monte_carlo"]["ok"]
-        and all(entry["ok"] for entry in rules)
-    )
-    report["elapsed_seconds"] = round(time.perf_counter() - t0, 2)
+    runs, worst = [], 0
+    for argv in commands:
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            code = rotavg(argv)
+        worst = max(worst, code)
+        if code == EXIT_PARSE:
+            break
+        runs.append(json.loads(sink.getvalue()))
+    report = {"pass": worst == 0, "runs": runs}
 
     payload = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
-        print(f"wrote {args.out} (ok={report['ok']}, {report['elapsed_seconds']}s)")
+        print(f"wrote {args.out} (pass={report['pass']})")
     else:
         print(payload)
-    return 0 if report["ok"] else 1
+    return worst
 
 
 if __name__ == "__main__":

@@ -113,12 +113,17 @@ class MultiIndex:
         return len(self.lab)
 
 
+def _pair_flat(lab: Sequence[int], mol: Sequence[int]) -> Flat:
+    """Flat exponent matrix of paired axes; unchecked, so axes must be ints in {1, 2, 3}."""
+    flat = [0] * 9
+    for i, lam in zip(lab, mol):
+        flat[3 * (i - 1) + (lam - 1)] += 1
+    return tuple(flat)
+
+
 def from_multi_index(m: MultiIndex) -> PowerMatrix:
     """Collect like factors: entry (i, lam) counts positions pairing i with lam."""
-    flat = [0] * 9
-    for i, lam in zip(m.lab, m.mol):
-        flat[3 * (i - 1) + (lam - 1)] += 1
-    return PowerMatrix._trusted(tuple(flat))
+    return PowerMatrix._trusted(_pair_flat(m.lab, m.mol))
 
 
 def selection_rule(chi: PowerMatrix) -> bool:

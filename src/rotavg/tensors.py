@@ -15,7 +15,7 @@ from itertools import product
 from typing import Optional
 
 from .evaluator import ValueCache, evaluate
-from .power_matrix import PowerMatrix, _strict_int
+from .power_matrix import PowerMatrix, _pair_flat, _strict_int
 from .rationals import format_rational, parse_rational
 
 IndexTuple = tuple[int, ...]
@@ -133,21 +133,14 @@ class ComponentGroup:
     members: tuple[IndexTuple, ...]
 
 
-def _pair_flat(lab: IndexTuple, mol: IndexTuple) -> tuple[int, ...]:
-    flat = [0] * 9
-    for i, lam in zip(lab, mol):
-        flat[3 * (i - 1) + (lam - 1)] += 1
-    return tuple(flat)
-
-
 def group_by_power_matrix(lab_idx, rank: int) -> list[ComponentGroup]:
     """Partition all 3^rank molecular tuples by their exponent matrix."""
-    lab = tuple(lab_idx)
+    lab = _index_tuple(lab_idx, rank)
     groups: dict[tuple[int, ...], list[IndexTuple]] = {}
     for mol in product((1, 2, 3), repeat=rank):
         groups.setdefault(_pair_flat(lab, mol), []).append(mol)
     return [
-        ComponentGroup(PowerMatrix.from_flat(flat), tuple(members))
+        ComponentGroup(PowerMatrix._trusted(flat), tuple(members))
         for flat, members in sorted(groups.items())
     ]
 
@@ -159,16 +152,14 @@ def average_component(lab_idx, tensor: DenseTensor, cache: Optional[ValueCache] 
     evaluator runs once per group.  Exact for exact tensors; float tensors
     convert the exact averages at the final multiply.
     """
-    lab = tuple(lab_idx)
-    if len(lab) != tensor.rank:
-        raise ValueError(f"lab tuple {lab} does not match tensor rank {tensor.rank}")
+    lab = _index_tuple(lab_idx, tensor.rank)
     group_sums: dict[tuple[int, ...], object] = {}
     for mol, value in tensor.components.items():
         key = _pair_flat(lab, mol)
         group_sums[key] = group_sums.get(key, tensor.zero) + value
     result = tensor.zero
     for flat, partial in sorted(group_sums.items()):
-        weight = evaluate(PowerMatrix.from_flat(flat), cache)
+        weight = evaluate(PowerMatrix._trusted(flat), cache)
         if weight == 0:
             continue
         if tensor.mode == "exact":

@@ -1,0 +1,115 @@
+"""The scripts in scripts/ run in-process through their main(): they must add
+nothing to, and lose nothing from, the rotavg subcommands they wrap."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from rotavg import PowerMatrix, canonicalize
+from rotavg.cli import (
+    DEFAULT_ENUMERATE_LIMIT,
+    EXIT_LIMIT,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_VIOLATION,
+    build_parser,
+)
+from rotavg.cli import main as rotavg
+from rotavg.propositions import RANK8_EXCEPTION, RANK9_EXCEPTION
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    return module.main()
+
+
+def canonical_lists(chi):
+    return [canonicalize(chi).representative.to_lists()]
+
+
+class TestExportRankTables:
+    @pytest.mark.parametrize(
+        "flags", [[], ["--nonzero"], ["--canonical"], ["--nonzero", "--canonical"]]
+    )
+    def test_files_are_enumerate_stdout(self, monkeypatch, capsys, tmp_path, flags):
+        code = run_script(
+            monkeypatch, "export_rank_tables", "--ranks", "0..6", "--outdir", str(tmp_path), *flags
+        )
+        assert code == EXIT_OK
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [f"rank{n:02d}.jsonl" for n in range(7)]
+        capsys.readouterr()
+        for n in range(7):
+            assert rotavg(["enumerate", "-n", str(n), *flags]) == EXIT_OK
+            expected = capsys.readouterr().out.encode("utf-8")
+            assert (tmp_path / f"rank{n:02d}.jsonl").read_bytes() == expected
+
+    @pytest.mark.parametrize("ranks", ["5..3", "-1", "1.5"])
+    def test_bad_ranks_are_parse_errors(self, monkeypatch, tmp_path, ranks):
+        # 5..3 once exited 0 having written nothing, -1 and 1.5 raised tracebacks
+        outdir = tmp_path / "tables"
+        argv = ["--ranks", ranks, "--outdir", str(outdir)]
+        assert run_script(monkeypatch, "export_rank_tables", *argv) == EXIT_PARSE
+        assert not outdir.exists()
+
+    def test_rank_over_enumerate_ceiling_leaves_no_file(self, monkeypatch, tmp_path):
+        ranks = str(DEFAULT_ENUMERATE_LIMIT + 1)
+        argv = ["--ranks", ranks, "--outdir", str(tmp_path)]
+        assert run_script(monkeypatch, "export_rank_tables", *argv) == EXIT_LIMIT
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRunVerification:
+    def test_report_enforces_exceptions_and_prime_ranks(self, monkeypatch, tmp_path):
+        out = tmp_path / "report.json"
+        code = run_script(
+            monkeypatch, "run_verification", "--max-rank", "4", "--props-max-rank", "9",
+            "--mc-samples", "2000", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["pass"] is True
+        battery, sweep = report["runs"]
+        assert battery["ranks"] == "0..4"
+        assert set(battery["suites"]) == {"oracle", "beta", "props", "mc"}
+        assert sweep["ranks"] == "5..9"
+        assert list(sweep["suites"]) == ["props"]
+        # only the given Monte Carlo flag is forwarded; the seed default is the CLI's
+        assert battery["suites"]["mc"]["samples"] == 2000
+        assert battery["suites"]["mc"]["seed"] == build_parser().parse_args(["verify"]).seed
+
+        entries = {
+            e["rank"]: e for run in report["runs"] for e in run["suites"]["props"]["ranks"]
+        }
+        assert sorted(entries) == list(range(10))
+        assert entries[8]["expected_violations"] == canonical_lists(RANK8_EXCEPTION)
+        assert entries[9]["expected_violations"] == canonical_lists(RANK9_EXCEPTION)
+        for n in (3, 5, 7):
+            assert entries[n]["prime_nonvanishing"]["pass"] is True
+
+    def test_failed_check_exits_1(self, monkeypatch, capsys):
+        # the rank-8 exception set is enforced, not informational
+        not_the_exception = PowerMatrix(((2, 0, 0), (0, 2, 0), (0, 0, 4)))
+        monkeypatch.setattr("rotavg.cli.RANK8_EXCEPTION", not_the_exception)
+        code = run_script(
+            monkeypatch, "run_verification", "--max-rank", "0", "--props-max-rank", "8",
+            "--mc-samples", "2000",
+        )
+        assert code == EXIT_VIOLATION
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert [run["pass"] for run in report["runs"]] == [True, False]
+
+    def test_negative_max_rank_is_a_parse_error(self, monkeypatch, capsys):
+        # once reported "ok": true after checking nothing
+        code = run_script(monkeypatch, "run_verification", "--max-rank", "-1")
+        assert code == EXIT_PARSE
+        assert json.loads(capsys.readouterr().out) == {"pass": False, "runs": []}

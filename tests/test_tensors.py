@@ -108,6 +108,15 @@ class TestAverageComponent:
         with pytest.raises(ValueError):
             average_component((1,), t)
 
+    @pytest.mark.parametrize("lab", [(0, 1), (1, 4), (1.0, 1), (True, 1)])
+    def test_lab_axes_validated(self, lab):
+        # axes 0 and 4 once indexed the wrong matrix cell and returned a value
+        t = DenseTensor(rank=2, components={(1, 1): 1, (2, 2): 1})
+        with pytest.raises(ValueError):
+            average_component(lab, t)
+        with pytest.raises(ValueError):
+            group_by_power_matrix(lab, 2)
+
     def test_identity_lab_11(self):
         delta = DenseTensor(rank=2, components={(1, 1): 1, (2, 2): 1, (3, 3): 1})
         assert average_component((1, 1), delta) == 1
