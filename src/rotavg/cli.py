@@ -1,7 +1,8 @@
 """Command-line front end: compute, average, enumerate, verify.
 
 Exit codes are stable: 0 success, 1 verification violation, 2 parse error,
-3 limit exceeded.  Exact rationals render as "p/q"; floats are shortest
+3 limit exceeded, 141 (128 + SIGPIPE) when the reader of stdout closes
+it early.  Exact rationals render as "p/q"; floats are shortest
 round-trip.  The optional ROTAVG_CACHE_LIMIT environment variable caps the
 number of cached orbit values.
 """
@@ -43,8 +44,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_LIMIT = 3
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_ENUMERATE_LIMIT = 13
+# the top of the rank range the benchmark times closed_form on
+DEFAULT_COMPUTE_LIMIT = 120
 
 # even/odd ranks where the simple vanishing rules are known to hold outright
 EVEN_RULE_RANKS = {0, 2, 4, 6, 10, 12}
@@ -116,6 +120,12 @@ def _cmd_compute(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if chi.rank > args.max_rank:
+        print(
+            f"error: rank {chi.rank} exceeds the configured maximum {args.max_rank}",
+            file=sys.stderr,
+        )
+        return EXIT_LIMIT
     print(json.dumps(_output_record(chi, _cache_from_env())))
     return EXIT_OK
 
@@ -335,6 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_compute.add_mutually_exclusive_group(required=True)
     src.add_argument("--chi", help='3x3 JSON matrix, e.g. "[[1,0,0],[0,1,0],[0,0,1]]"')
     src.add_argument("--indices", help='lab/molecular digit pairs, e.g. "11,22,33"')
+    p_compute.add_argument(
+        "--max-rank", type=int, default=DEFAULT_COMPUTE_LIMIT,
+        help=f"rank ceiling (default {DEFAULT_COMPUTE_LIMIT})",
+    )
     p_compute.set_defaults(func=_cmd_compute)
 
     p_average = sub.add_parser("average", help="rotationally average a tensor file")
@@ -369,10 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then raises here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:
+            # the interpreter flushes stdout again at exit; send that to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -171,8 +171,8 @@ def monte_carlo_average(
     rotation measure up to normalization.  The PCG64 stream and the fixed
     chunking scheme make the result a deterministic function of the seed.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if samples < 2:
+        raise ValueError(f"need at least two samples for a standard error, got {samples}")
     rng = np.random.default_rng(seed)
     flat = chi.flat
     total = 0.0
@@ -192,8 +192,6 @@ def monte_carlo_average(
         total += float(values.sum())
         total_sq += float((values * values).sum())
     mean = total / samples
-    if samples == 1:
-        return mean, 0.0
     variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
     return mean, float(np.sqrt(variance / samples))
 

@@ -3,8 +3,12 @@
 The lab-frame isotropic average of a molecular tensor T is
 out[i1..in] = sum over molecular tuples m of <l_{i1 m1} ... l_{in mn}> T[m].
 Molecular tuples sharing an exponent matrix contribute through a single
-exact average, so the evaluator cache turns the 3^n-term contraction into a
-per-orbit computation.
+exact average.  One numpy kernel per call (``_PairKernel``) encodes the
+exponent matrix of every (lab, mol) pair as an integer pair code, sums the
+stored components per code (floats in component order; exact values as
+integer numerators over one common denominator) and evaluates each distinct
+exponent matrix once per call.  The evaluator's orbit cache carries those
+values from call to call.
 """
 
 from __future__ import annotations
@@ -12,7 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Optional
+
+import numpy as np
 
 from .evaluator import ValueCache, evaluate
 from .power_matrix import PowerMatrix, _pair_flat, _strict_int
@@ -23,6 +30,9 @@ IndexTuple = tuple[int, ...]
 MODES = ("exact", "float")
 
 DEFAULT_MAX_RANK = 10
+
+# pair codes (see _PairKernel) are below (n+1)**9, which fits int64 up to here
+PAIR_CODE_MAX_RANK = 127
 
 
 class RankLimitError(ValueError):
@@ -145,6 +155,81 @@ def group_by_power_matrix(lab_idx, rank: int) -> list[ComponentGroup]:
     ]
 
 
+class _PairKernel:
+    """Lab components of one tensor's average, grouped by pair code.
+
+    The pair code of a (lab, mol) tuple pair is the sum over positions k of
+    E[lab_k][mol_k] with E[i][m] = (n+1)**(8 - (3(i-1) + (m-1))): the flat
+    exponent matrix read as a base-(n+1) number, first entry most
+    significant.  Codes therefore sort like the flats.  Each distinct code
+    is decoded and evaluated once per kernel.
+    """
+
+    def __init__(self, tensor: DenseTensor, cache: Optional[ValueCache]):
+        n = tensor.rank
+        if n > PAIR_CODE_MAX_RANK:
+            raise RankLimitError(f"rank {n} exceeds the pair-code limit {PAIR_CODE_MAX_RANK}")
+        self.base = n + 1
+        self.exact = tensor.mode == "exact"
+        self.cache = cache
+        self.weights: dict[int, object] = {}
+        self.positions = np.arange(n)
+        mols = np.array(list(tensor.components), dtype=np.intp)
+        mols = mols.reshape(len(tensor.components), n) - 1
+        scale = np.array([self.base ** (8 - j) for j in range(9)], dtype=np.int64).reshape(3, 3)
+        # terms[k, i - 1] holds, per stored component, the code of pairing
+        # lab axis i with the component's k-th molecular axis
+        self.terms = scale[:, mols.T].transpose(1, 0, 2)
+        values = list(tensor.components.values())
+        if self.exact:
+            # integer numerators over one common denominator
+            self.denominator = lcm(*(v.denominator for v in values))
+            numerators = [v.numerator * (self.denominator // v.denominator) for v in values]
+            self.values = np.array(numerators, dtype=object)
+        else:
+            self.values = np.array(values, dtype=np.float64)
+
+    def _weight(self, code: int):
+        """The exact average of the code's flat; a float in float mode, where it multiplies."""
+        weight = self.weights.get(code)
+        if weight is None:
+            rest, flat = code, [0] * 9
+            for j in range(8, -1, -1):
+                rest, flat[j] = divmod(rest, self.base)
+            weight = evaluate(PowerMatrix._trusted(tuple(flat)), self.cache)
+            if not self.exact:
+                weight = float(weight)
+            self.weights[code] = weight
+        return weight
+
+    def component(self, lab: IndexTuple):
+        """sum of <...> * T over the stored molecular tuples, for a validated lab tuple."""
+        if not len(self.values):
+            return Fraction(0) if self.exact else 0.0
+        codes = self.terms[self.positions, np.array(lab, dtype=np.intp) - 1].sum(axis=0)
+        if not self.exact:
+            # bincount adds each group in component order, then the groups
+            # are added in flat order: the order of a per-group Python sum
+            codes, inverse = np.unique(codes, return_inverse=True)
+            partials = np.bincount(inverse, weights=self.values)
+            result = 0.0
+            for code, partial in zip(codes.tolist(), partials.tolist()):
+                weight = self._weight(code)
+                if weight:
+                    result += weight * partial
+            return result
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        sums = np.add.reduceat(self.values[order], starts)
+        total = Fraction(0)
+        for code, partial in zip(codes[starts].tolist(), sums.tolist()):
+            weight = self._weight(code)
+            if weight:
+                total += weight * partial
+        return total / self.denominator
+
+
 def average_component(lab_idx, tensor: DenseTensor, cache: Optional[ValueCache] = None):
     """One lab component of the isotropic average: sum of <...> * T over molecular tuples.
 
@@ -153,20 +238,7 @@ def average_component(lab_idx, tensor: DenseTensor, cache: Optional[ValueCache] 
     convert the exact averages at the final multiply.
     """
     lab = _index_tuple(lab_idx, tensor.rank)
-    group_sums: dict[tuple[int, ...], object] = {}
-    for mol, value in tensor.components.items():
-        key = _pair_flat(lab, mol)
-        group_sums[key] = group_sums.get(key, tensor.zero) + value
-    result = tensor.zero
-    for flat, partial in sorted(group_sums.items()):
-        weight = evaluate(PowerMatrix._trusted(flat), cache)
-        if weight == 0:
-            continue
-        if tensor.mode == "exact":
-            result += weight * partial
-        else:
-            result += float(weight) * partial
-    return result
+    return _PairKernel(tensor, cache).component(lab)
 
 
 def average_tensor(
@@ -182,6 +254,7 @@ def average_tensor(
     n = tensor.rank
     if n > max_rank:
         raise RankLimitError(f"rank {n} exceeds the configured maximum {max_rank}")
+    kernel = _PairKernel(tensor, cache)
     parity = n & 1
     out: dict[IndexTuple, object] = {}
     for lab in product((1, 2, 3), repeat=n):
@@ -190,7 +263,7 @@ def average_tensor(
             counts[i - 1] += 1
         if (counts[0] & 1) != parity or (counts[1] & 1) != parity or (counts[2] & 1) != parity:
             continue
-        value = average_component(lab, tensor, cache)
+        value = kernel.component(lab)
         if value:
             out[lab] = value
     return DenseTensor(rank=n, mode=tensor.mode, components=out)

@@ -1,12 +1,20 @@
 import csv
+import hashlib
 import io
+import itertools
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rotavg
 from rotavg import PowerMatrix, ValueCache, canonicalize, determinant, parse_rational, rank_table
-from rotavg.cli import EXIT_LIMIT, EXIT_OK, EXIT_PARSE, main
+from rotavg.cli import EXIT_BROKEN_PIPE, EXIT_LIMIT, EXIT_OK, EXIT_PARSE, main
 from rotavg.propositions import canonical_representatives
 
 
@@ -72,6 +80,16 @@ class TestCompute:
         monkeypatch.setenv("ROTAVG_CACHE_LIMIT", "bogus")
         code, _ = run_cli(capsys, "compute", "--chi", "[[0,0,0],[0,0,2],[0,2,0]]")
         assert code == EXIT_PARSE
+
+    def test_rank_limit(self, capsys):
+        # rank 162 once went to the closed form: compute had no ceiling
+        code, out = run_cli(capsys, "compute", "--chi", "[[40,40,0],[40,40,0],[0,0,2]]")
+        assert code == EXIT_LIMIT
+        assert out == ""
+        code, _ = run_cli(capsys, "compute", "--indices", "11,22,33", "--max-rank", "2")
+        assert code == EXIT_LIMIT
+        record = run_json(capsys, "compute", "--chi", "[[0,0,0],[0,0,0],[0,0,120]]")
+        assert record["value"] == "1/121"
 
 
 class TestEnumerate:
@@ -271,6 +289,38 @@ class TestAverage:
         assert code == EXIT_LIMIT
 
 
+def seeded_dense_tensor(rank, mode, seed):
+    rng = random.Random(seed)
+    components = []
+    for idx in itertools.product((1, 2, 3), repeat=rank):
+        if mode == "exact":
+            value = f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+        else:
+            value = rng.uniform(-1.0, 1.0)
+        components.append({"idx": list(idx), "value": value})
+    return {"rank": rank, "mode": mode, "components": components}
+
+
+# SHA-256 of `rotavg average` stdout, captured before the pair-code kernel
+# replaced the per-lab loop; the kernel must reproduce it byte for byte
+AVERAGE_STDOUT_SHA256 = {
+    (6, "exact", False): "bea20a39199a06a57fa67c081bf292bc6e58e60e8d5383feb2de03e67af45a71",
+    (6, "exact", True): "f328946cbeea8658199322a97fcebc0d647cafd074ab66e214b677d8af984e6b",
+    (7, "float", False): "4f4b32e2a9a1f6d151dbf54687c6a794979dfdc178c8f3e65df2dbd59124b108",
+    (7, "float", True): "d34845b642b538c36dd9be42b7ea5631815cbcd5e2476e80df5b1458b17557b6",
+}
+
+
+class TestAverageGolden:
+    @pytest.mark.parametrize("rank,mode,nonzero_only", sorted(AVERAGE_STDOUT_SHA256))
+    def test_stdout_digest(self, capsys, tmp_path, rank, mode, nonzero_only):
+        path = write_tensor(tmp_path, "t.json", seeded_dense_tensor(rank, mode, seed=rank))
+        code, out = run_cli(capsys, "average", path, *(["--nonzero-only"] if nonzero_only else []))
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == AVERAGE_STDOUT_SHA256[rank, mode, nonzero_only]
+
+
 class TestVerify:
     def test_beta_suite_passes(self, capsys):
         report = run_json(capsys, "verify", "--suite", "beta", "-n", "0..4")
@@ -299,3 +349,43 @@ class TestVerify:
     def test_bad_rank_range(self, capsys):
         code, _ = run_cli(capsys, "verify", "--suite", "beta", "-n", "oops")
         assert code == EXIT_PARSE
+
+    def test_one_mc_sample_is_a_parse_error(self, capsys):
+        # one sample has no standard error; it once read as a violation (exit 1)
+        code = main(["verify", "--suite", "mc", "-n", "2", "--mc-samples", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert "two samples" in captured.err
+
+
+class ClosedPipe(io.TextIOBase):
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    def test_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["enumerate", "-n", "3"]) == EXIT_BROKEN_PIPE
+        monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closes_the_pipe(self, tmp_path):
+        # like `rotavg enumerate -n 12 | head -1`, which once ended in a traceback
+        src = str(Path(rotavg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        with open(tmp_path / "stderr", "wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "rotavg", "enumerate", "-n", "12"],
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                env=env,
+            )
+            assert proc.stdout.readline().startswith(b'{"chi"')
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert (tmp_path / "stderr").read_bytes() == b""

@@ -125,6 +125,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_average(ZERO, 0, seed=1)
 
+    def test_rejects_single_sample(self):
+        # one sample has no standard error; it was once reported as 0.0
+        with pytest.raises(ValueError):
+            monte_carlo_average(ZERO, 1, seed=1)
+
 
 class TestInvarianceProbe:
     def test_identity_rotation_matches_plain_average(self):

@@ -1,17 +1,20 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from rotavg import (
     AngleTriple,
     DenseTensor,
     MultiIndex,
+    PowerMatrix,
     RankLimitError,
+    ValueCache,
     average_component,
     average_tensor,
     euler_matrix,
@@ -31,6 +34,69 @@ def brute_force_component(lab, tensor):
         weight = evaluate(from_multi_index(MultiIndex(tuple(lab), mol)))
         total += weight * value if tensor.mode == "exact" else float(weight) * value
     return total
+
+
+def reference_average_tensor(tensor):
+    """The per-lab loop the pair-code kernel replaced, kept as its reference.
+
+    Per lab tuple it sums the stored values of each exponent-matrix group in
+    component order, then adds weight * partial over the groups in flat
+    order, so float results must match the kernel bit for bit.
+    """
+    out, weights = {}, {}
+    for lab in itertools.product((1, 2, 3), repeat=tensor.rank):
+        if any(lab.count(axis) % 2 != tensor.rank % 2 for axis in (1, 2, 3)):
+            continue  # the selection rule fails for every molecular tuple
+        group_sums = {}
+        for mol, value in tensor.components.items():
+            key = [0] * 9
+            for i, m in zip(lab, mol):
+                key[3 * (i - 1) + (m - 1)] += 1
+            key = tuple(key)
+            group_sums[key] = group_sums.get(key, tensor.zero) + value
+        result = tensor.zero
+        for flat, partial in sorted(group_sums.items()):
+            if flat not in weights:
+                weights[flat] = evaluate(PowerMatrix.from_flat(flat))
+            weight = weights[flat]
+            if weight == 0:
+                continue
+            result += weight * partial if tensor.mode == "exact" else float(weight) * partial
+        if result:
+            out[lab] = result
+    return out
+
+
+def seeded_tensor(rank, mode, density, seed):
+    """A tensor with about density * 3^rank stored components and seeded values.
+
+    Values come from small pools with opposite-signed pairs, so exponent
+    groups and whole lab components often cancel to zero.
+    """
+    rng = random.Random(seed)
+    if mode == "exact":
+        pool = [Fraction(p, q) for p in (-3, -1, 1, 2, 3) for q in (1, 2, 7)]
+    else:
+        pool = [0.1, -0.1, 0.3, -0.3, 1e-17, 2.5, -7.25]
+    components = {}
+    for idx in itertools.product((1, 2, 3), repeat=rank):
+        if rng.random() < density:
+            value = rng.choice(pool)
+            if mode == "float" and rng.random() < 0.3:
+                value = rng.uniform(-1, 1)
+            components[idx] = value
+    items = list(components.items())
+    rng.shuffle(items)  # the kernel must follow the components' own order
+    return DenseTensor(rank=rank, mode=mode, components=dict(items))
+
+
+def tensor_params(max_rank):
+    return dict(
+        rank=st.integers(0, max_rank),
+        mode=st.sampled_from(["exact", "float"]),
+        density=st.sampled_from([1.0, 0.3, 0.05]),
+        seed=st.integers(0, 2**32),
+    )
 
 
 def levi_civita():
@@ -211,6 +277,68 @@ class TestAverageTensor:
         out_rotated = average_tensor(as_tensor(rotated))
         for idx in DenseTensor.index_space(3):
             assert abs(out_plain[idx] - out_rotated[idx]) <= 1e-10
+
+
+class TestPairCodeKernel:
+    @given(**tensor_params(max_rank=6))
+    @example(rank=6, mode="exact", density=1.0, seed=1)
+    @example(rank=6, mode="float", density=1.0, seed=2)
+    @example(rank=6, mode="exact", density=0.05, seed=3)
+    @example(rank=5, mode="float", density=0.3, seed=4)
+    @settings(deadline=None, max_examples=30)
+    def test_matches_per_lab_reference(self, rank, mode, density, seed):
+        t = seeded_tensor(rank, mode, density, seed)
+        # == also for floats: the kernel keeps the reference's summation order
+        assert average_tensor(t).components == reference_average_tensor(t)
+
+    @given(**tensor_params(max_rank=4))
+    @settings(deadline=None, max_examples=25)
+    def test_component_matches_whole_average(self, rank, mode, density, seed):
+        t = seeded_tensor(rank, mode, density, seed)
+        out = average_tensor(t)
+        for lab in DenseTensor.index_space(t.rank):
+            value = average_component(lab, t)
+            assert value == out[lab]
+            assert type(value) is type(t.zero)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_empty_tensor(self, mode):
+        t = DenseTensor(rank=3, mode=mode)
+        assert average_tensor(t).components == {}
+        assert average_component((1, 2, 3), t) == 0
+
+    @pytest.mark.parametrize("value", [Fraction(-5, 3), -2.75])
+    def test_rank0(self, value):
+        mode = "exact" if isinstance(value, Fraction) else "float"
+        t = DenseTensor(rank=0, mode=mode, components={(): value})
+        assert average_tensor(t).components == {(): value}
+        assert average_component((), t) == value
+
+    @pytest.mark.parametrize(
+        "mode,a,b", [("exact", Fraction(1, 3), Fraction(-1, 3)), ("float", 0.5, -0.5)]
+    )
+    def test_cancelling_values_leave_no_component(self, mode, a, b):
+        # trace zero: every lab component of the average cancels
+        t = DenseTensor(rank=2, mode=mode, components={(1, 1): a, (2, 2): b, (1, 2): a})
+        assert average_tensor(t).components == {}
+        assert average_component((3, 3), t) == 0
+
+    def test_rank127_is_the_code_limit(self):
+        lab = (1,) * 125 + (2, 3)
+        t = DenseTensor(rank=127, components={lab: Fraction(3, 2)})
+        chi = from_multi_index(MultiIndex(lab, lab))
+        assert average_component(lab, t) == Fraction(3, 2) * evaluate(chi) != 0
+        t128 = DenseTensor(rank=128, components={(1,) * 128: 1})
+        with pytest.raises(RankLimitError):
+            average_component((1,) * 128, t128)
+        with pytest.raises(RankLimitError):
+            average_tensor(t128, max_rank=200)
+
+    def test_cache_limit_is_honoured(self):
+        t = DenseTensor(rank=4, components={(1, 1, 2, 2): 1, (1, 2, 1, 2): 2})
+        cache = ValueCache(limit=1)
+        assert average_tensor(t, cache=cache).components == reference_average_tensor(t)
+        assert len(cache) == 1
 
 
 class TestGrouping:
