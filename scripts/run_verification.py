@@ -4,7 +4,7 @@
 Runs ``rotavg verify --suite all -n 0..M``, then ``--suite props -n M+1..P``
 when P > M.  The report is {"pass": bool, "runs": [<rotavg verify report>,
 ...]}; the exit code is the highest of the runs: 0 pass, 1 a check failed,
-2 a bad rank range.
+2 a bad rank range, 3 a rank above verify's ceiling (13).
 
 Usage:
     python scripts/run_verification.py [--max-rank 8] [--props-max-rank 13]
@@ -17,7 +17,7 @@ import io
 import json
 import sys
 
-from rotavg.cli import EXIT_PARSE, main as rotavg
+from rotavg.cli import EXIT_LIMIT, EXIT_PARSE, main as rotavg
 
 
 def main() -> int:
@@ -44,7 +44,7 @@ def main() -> int:
         with contextlib.redirect_stdout(sink):
             code = rotavg(argv)
         worst = max(worst, code)
-        if code == EXIT_PARSE:
+        if code in (EXIT_PARSE, EXIT_LIMIT):
             break
         runs.append(json.loads(sink.getvalue()))
     report = {"pass": worst == 0, "runs": runs}

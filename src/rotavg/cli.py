@@ -38,7 +38,7 @@ from .propositions import (
     _is_odd_prime,
 )
 from .rationals import format_rational
-from .tensors import DenseTensor, RankLimitError, average_tensor
+from .tensors import DEFAULT_MAX_RANK, DenseTensor, RankLimitError, average_tensor
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -314,6 +314,13 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if ranks[-1] > DEFAULT_ENUMERATE_LIMIT:
+        # every suite walks all binom(n+8, 8) flats of each rank
+        print(
+            f"error: rank {ranks[-1]} exceeds the verify ceiling {DEFAULT_ENUMERATE_LIMIT}",
+            file=sys.stderr,
+        )
+        return EXIT_LIMIT
     cache = _cache_from_env()
     suites = ["oracle", "beta", "props", "mc"] if args.suite == "all" else [args.suite]
     report = {"ranks": args.ranks, "suites": {}}
@@ -355,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_average.add_argument("tensor_file", help="input tensor JSON")
     p_average.add_argument("--out", help="output path (default: stdout)")
     p_average.add_argument("--nonzero-only", action="store_true", help="emit only nonzero components")
-    p_average.add_argument("--max-rank", type=int, default=10, help="rank ceiling (default 10)")
+    p_average.add_argument(
+        "--max-rank", type=int, default=DEFAULT_MAX_RANK,
+        help=f"rank ceiling (default {DEFAULT_MAX_RANK})",
+    )
     p_average.set_defaults(func=_cmd_average)
 
     p_enum = sub.add_parser("enumerate", help="list all matrices of one rank with values")

@@ -4,8 +4,10 @@ The average over uniformly random rotations of l11^Q l12^R ... l33^Y is an
 exact rational number.  :func:`closed_form` computes it by a finite
 double-factorial sum; :func:`beta_path` recomputes it through exact
 beta-function values as an independent cross-check; :func:`evaluate` adds the
-vanishing shortcuts, the low-odd-rank determinant rules and an orbit-level
-cache.  No floating point is used anywhere in this module.
+vanishing shortcuts and an orbit-level cache and answers every rank through
+the closed form; the acceptance criteria check the rank-3 (det/6) and rank-5
+(det/30) laws against it.  No floating point is used anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .power_matrix import (
     Flat,
     PowerMatrix,
     canonical_flat,
-    determinant,
     selection_rule,
 )
 
@@ -376,19 +377,14 @@ def evaluate(chi: PowerMatrix, cache: Optional[ValueCache] = None) -> Fraction:
     """Exact rotational average of chi with shortcuts and orbit caching.
 
     Returns 0 when the parity selection rule fails or when an odd-signed
-    symmetry stabilizes the orbit; applies the rank-3 and rank-5 determinant
-    rules directly; otherwise computes the closed form once per orbit and
-    reuses it for every orbit member, with the relating sign at odd rank.
+    symmetry stabilizes the orbit; otherwise computes the closed form once
+    per orbit and reuses it for every orbit member, with the relating sign
+    at odd rank.  There is no rank-specific branch.
     """
     if cache is None:
         cache = _SHARED_CACHE
     if not selection_rule(chi):
         return Fraction(0)
-    n = chi.rank
-    if n == 3:
-        return Fraction(determinant(chi), 6)
-    if n == 5:
-        return Fraction(determinant(chi), 30)
     rep, sign = canonical_flat(chi.flat)
     if sign == 0:
         return Fraction(0)

@@ -16,7 +16,7 @@ from math import comb
 from operator import sub
 from typing import Iterator, Optional
 
-from .evaluator import ValueCache, closed_form, double_factorial, evaluate
+from .evaluator import ValueCache, double_factorial, evaluate
 from .power_matrix import (
     Flat,
     PowerMatrix,
@@ -99,27 +99,6 @@ def _orbit_scan(n: int) -> Iterator[tuple[Flat, Optional[Flat], int]]:
             yield flat, None, 0
 
 
-def _orbit_values(n: int, cache: ValueCache) -> Iterator[tuple[Flat, Fraction]]:
-    """Each selection-passing rank-n orbit as (minimal flat, exact value).
-
-    The value comes from the closed form, or is 0 where an odd-signed
-    symmetry fixes the orbit; it never comes from evaluate's rank-3 and
-    rank-5 determinant rules, so the sweeps below test the closed form
-    against the determinant laws at those ranks too.
-    """
-    for rep in _representatives(n):
-        if not _selection_flat(rep):
-            continue
-        if orbit_signs(rep)[rep] == 0:
-            yield rep, _ZERO
-            continue
-        value = cache.get(rep)
-        if value is None:
-            value = closed_form(PowerMatrix._trusted(rep))
-            cache.put(rep, value)
-        yield rep, value
-
-
 @dataclass
 class PropositionReport:
     """Outcome of one exhaustive rank check."""
@@ -158,7 +137,11 @@ def verify_even_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionR
     if n % 2:
         raise ValueError("even rank required")
     cache = cache if cache is not None else ValueCache()
-    violations = [rep for rep, value in _orbit_values(n, cache) if value == 0]
+    violations = [
+        rep
+        for rep in filter(_selection_flat, _representatives(n))
+        if evaluate(PowerMatrix._trusted(rep), cache) == 0
+    ]
     return _make_report(n, "nonzero-iff-selection-rule", violations)
 
 
@@ -173,8 +156,8 @@ def verify_odd_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionRe
     cache = cache if cache is not None else ValueCache()
     violations = [
         rep
-        for rep, value in _orbit_values(n, cache)
-        if (value != 0) != (_det_flat(rep) != 0)
+        for rep in filter(_selection_flat, _representatives(n))
+        if (evaluate(PowerMatrix._trusted(rep), cache) != 0) != (_det_flat(rep) != 0)
     ]
     return _make_report(n, "nonzero-iff-selection-rule-and-det", violations)
 
@@ -196,7 +179,9 @@ def verify_prime_nonvanishing(n: int, cache: Optional[ValueCache] = None) -> Pro
         raise ValueError("odd prime rank required")
     cache = cache if cache is not None else ValueCache()
     violations = [
-        rep for rep, value in _orbit_values(n, cache) if _det_flat(rep) % n and value == 0
+        rep
+        for rep in filter(_selection_flat, _representatives(n))
+        if evaluate(PowerMatrix._trusted(rep), cache) == 0 and _det_flat(rep) % n
     ]
     return _make_report(n, "nonzero-when-selection-holds-and-rank-coprime-det", violations)
 
@@ -212,8 +197,8 @@ def prop_converse_witnesses(n: int, cache: Optional[ValueCache] = None) -> list[
     cache = cache if cache is not None else ValueCache()
     return [
         PowerMatrix._trusted(rep)
-        for rep, value in _orbit_values(n, cache)
-        if _det_flat(rep) % n == 0 and value != 0
+        for rep in filter(_selection_flat, _representatives(n))
+        if evaluate(PowerMatrix._trusted(rep), cache) != 0 and _det_flat(rep) % n == 0
     ]
 
 

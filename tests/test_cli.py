@@ -14,7 +14,15 @@ import pytest
 
 import rotavg
 from rotavg import PowerMatrix, ValueCache, canonicalize, determinant, parse_rational, rank_table
-from rotavg.cli import EXIT_BROKEN_PIPE, EXIT_LIMIT, EXIT_OK, EXIT_PARSE, main
+from rotavg.cli import (
+    DEFAULT_ENUMERATE_LIMIT,
+    EXIT_BROKEN_PIPE,
+    EXIT_LIMIT,
+    EXIT_OK,
+    EXIT_PARSE,
+    build_parser,
+    main,
+)
 from rotavg.propositions import canonical_representatives
 
 
@@ -288,6 +296,10 @@ class TestAverage:
         code, _ = run_cli(capsys, "average", path, "--max-rank", "2")
         assert code == EXIT_LIMIT
 
+    def test_default_rank_ceiling_is_the_library_default(self):
+        parser = build_parser()
+        assert parser.parse_args(["average", "t.json"]).max_rank == rotavg.tensors.DEFAULT_MAX_RANK
+
 
 def seeded_dense_tensor(rank, mode, seed):
     rng = random.Random(seed)
@@ -349,6 +361,19 @@ class TestVerify:
     def test_bad_rank_range(self, capsys):
         code, _ = run_cli(capsys, "verify", "--suite", "beta", "-n", "oops")
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("ranks", [str(DEFAULT_ENUMERATE_LIMIT + 1), "0..40"])
+    def test_rank_ceiling(self, capsys, ranks):
+        # every suite walks all binom(n+8, 8) flats per rank; rank 40 alone has 3.8e8
+        code = main(["verify", "-n", ranks])
+        captured = capsys.readouterr()
+        assert code == EXIT_LIMIT
+        assert captured.out == ""
+        assert "ceiling" in captured.err
+
+    def test_props_suite_runs_at_the_ceiling(self, capsys):
+        report = run_json(capsys, "verify", "--suite", "props", "-n", str(DEFAULT_ENUMERATE_LIMIT))
+        assert report["pass"] is True
 
     def test_one_mc_sample_is_a_parse_error(self, capsys):
         # one sample has no standard error; it once read as a violation (exit 1)

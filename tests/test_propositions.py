@@ -28,7 +28,7 @@ from rotavg import (
     verify_prime_nonvanishing,
 )
 from rotavg.power_matrix import _selection_flat, canonical_flat
-from rotavg import propositions
+from rotavg import evaluator
 from rotavg.propositions import _orbit_scan, canonical_representatives
 
 
@@ -137,9 +137,10 @@ class TestOddRule:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_sweeps_check_the_closed_form_at_determinant_ranks(self, n, monkeypatch):
-        # evaluate answers ranks 3 and 5 from the determinant; the sweeps
-        # must not, or comparing the value with the determinant proves nothing
-        real = propositions.closed_form
+        # the determinant laws at ranks 3 and 5 are facts about the closed
+        # form; evaluate and the sweeps must reach it, or comparing their
+        # values with the determinant proves nothing
+        real = evaluator.closed_form
         calls = []
 
         def counted(chi):
@@ -149,14 +150,27 @@ class TestOddRule:
         def flipped(chi):
             return Fraction(0) if real(chi) else Fraction(1)
 
-        monkeypatch.setattr(propositions, "closed_form", counted)
+        def law(chi):
+            return Fraction(determinant(chi), 6 if n == 3 else 30)
+
+        passing = [chi for chi in enumerate_power_matrices(n) if selection_rule(chi)]
+        monkeypatch.setattr(evaluator, "closed_form", counted)
         for sweep in (verify_odd_rule, verify_prime_nonvanishing, prop_converse_witnesses):
             calls.clear()
             sweep(n, ValueCache())
             assert calls, sweep.__name__
-        monkeypatch.setattr(propositions, "closed_form", flipped)
+        calls.clear()
+        cache = ValueCache()
+        assert all(evaluate(chi, cache) == law(chi) for chi in passing)
+        assert calls
+        monkeypatch.setattr(evaluator, "closed_form", flipped)
         assert verify_odd_rule(n, ValueCache()).verdict == "fails-with-witnesses"
         assert verify_prime_nonvanishing(n, ValueCache()).verdict == "fails-with-witnesses"
+        # a flipped closed form shows on every matrix no odd symmetry zeroes
+        cache = ValueCache()
+        reached = [chi for chi in passing if canonical_flat(chi.flat)[1] != 0]
+        assert reached
+        assert all(evaluate(chi, cache) != law(chi) for chi in reached)
 
     def test_prime_check_rejects_composites(self):
         with pytest.raises(ValueError):

@@ -108,6 +108,16 @@ class TestRunVerification:
         assert report["pass"] is False
         assert [run["pass"] for run in report["runs"]] == [True, False]
 
+    def test_rank_over_verify_ceiling_exits_3(self, monkeypatch, capsys):
+        code = run_script(
+            monkeypatch, "run_verification", "--max-rank", "0",
+            "--props-max-rank", str(DEFAULT_ENUMERATE_LIMIT + 1), "--mc-samples", "2000",
+        )
+        assert code == EXIT_LIMIT
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert [run["ranks"] for run in report["runs"]] == ["0..0"]
+
     def test_negative_max_rank_is_a_parse_error(self, monkeypatch, capsys):
         # once reported "ok": true after checking nothing
         code = run_script(monkeypatch, "run_verification", "--max-rank", "-1")
