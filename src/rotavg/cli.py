@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 from .evaluator import ValueCache, beta_path, evaluate
@@ -26,17 +27,7 @@ from .power_matrix import (
     from_multi_index,
     selection_rule,
 )
-from .propositions import (
-    RANK8_EXCEPTION,
-    RANK9_EXCEPTION,
-    canonical_representatives,
-    prop_converse_witnesses,
-    rank_table,
-    verify_even_rule,
-    verify_odd_rule,
-    verify_prime_nonvanishing,
-    _is_odd_prime,
-)
+from .propositions import RANK8_EXCEPTION, RANK9_EXCEPTION, _rank_checks, rank_table
 from .rationals import format_rational
 from .tensors import DEFAULT_MAX_RANK, DenseTensor, RankLimitError, average_tensor
 
@@ -145,8 +136,12 @@ def _cmd_average(args) -> int:
         return EXIT_LIMIT
     payload = json.dumps(averaged.to_json_obj(nonzero_only=args.nonzero_only), indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         print(payload)
     return EXIT_OK
@@ -197,23 +192,22 @@ def _cmd_enumerate(args) -> int:
 
 
 def _parse_rank_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        start, stop = int(lo), int(hi)
-    else:
-        start = stop = int(text)
-    if start < 0 or stop < start:
-        raise ValueError(f"bad rank range {text!r}")
-    return list(range(start, stop + 1))
+    """Ranks "N" or "N..M" with N <= M, written in ASCII digits and nothing else."""
+    match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
+    if match:
+        start, stop = int(match[1]), int(match[2] or match[1])
+        if start <= stop:
+            return list(range(start, stop + 1))
+    raise ValueError(f"bad rank range {text!r}; expected N or N..M")
 
 
-def _suite_oracle(ranks, cache) -> dict:
+def _suite_oracle(rows) -> dict:
     worst = 0.0
     worst_chi = None
     checked = 0
-    for n in ranks:
-        for chi in canonical_representatives(n):
-            delta = abs(quadrature_average(chi) - float(evaluate(chi, cache)))
+    for rank_rows in rows.values():
+        for chi, value in rank_rows:
+            delta = abs(quadrature_average(chi) - float(value))
             checked += 1
             if delta > worst:
                 worst, worst_chi = delta, chi
@@ -227,39 +221,31 @@ def _suite_oracle(ranks, cache) -> dict:
     }
 
 
-def _suite_beta(ranks, cache) -> dict:
+def _suite_beta(rows) -> dict:
     checked = 0
     failures = []
-    for n in ranks:
-        for chi in canonical_representatives(n):
+    for rank_rows in rows.values():
+        for chi, value in rank_rows:
             checked += 1
             result = beta_path(chi)
-            expected = evaluate(chi, cache)
-            if result.pi_power != 0 or result.coefficient != expected:
+            if result.pi_power != 0 or result.coefficient != value:
                 failures.append(chi.to_lists())
     return {"checked": checked, "failures": failures, "pass": not failures}
 
 
-def _suite_props(ranks, cache) -> dict:
+def _suite_props(rows) -> dict:
+    # read at call time, so a patched exception is the one enforced
+    exceptions = {8: RANK8_EXCEPTION, 9: RANK9_EXCEPTION}
     per_rank = []
     ok = True
-    for n in ranks:
-        if n % 2 == 0:
-            report = verify_even_rule(n, cache)
-            if n in EVEN_RULE_RANKS:
-                expected = []
-            elif n == 8:
-                expected = [canonicalize(RANK8_EXCEPTION).representative]
-            else:
-                expected = None  # no claim at this rank
+    for n, rank_rows in rows.items():
+        report, prime_report, converse = _rank_checks(n, rank_rows)
+        if n in EVEN_RULE_RANKS | ODD_RULE_RANKS:
+            expected = []
+        elif n in exceptions:
+            expected = [canonicalize(exceptions[n]).representative]
         else:
-            report = verify_odd_rule(n, cache)
-            if n in ODD_RULE_RANKS:
-                expected = []
-            elif n == 9:
-                expected = [canonicalize(RANK9_EXCEPTION).representative]
-            else:
-                expected = None
+            expected = None  # no claim at this rank
         entry = report.to_json_obj()
         if expected is None:
             entry["expected_violations"] = None
@@ -267,14 +253,11 @@ def _suite_props(ranks, cache) -> dict:
         else:
             entry["expected_violations"] = [chi.to_lists() for chi in expected]
             entry["pass"] = report.violations == expected
-        if n % 2 and _is_odd_prime(n):
-            prime_report = verify_prime_nonvanishing(n, cache)
+        if prime_report is not None:
             entry["prime_nonvanishing"] = prime_report.to_json_obj()
             entry["prime_nonvanishing"]["pass"] = prime_report.verdict == "holds"
             entry["pass"] = entry["pass"] and prime_report.verdict == "holds"
-            entry["converse_witnesses"] = [
-                chi.to_lists() for chi in prop_converse_witnesses(n, cache)
-            ]
+            entry["converse_witnesses"] = [chi.to_lists() for chi in converse]
         ok = ok and entry["pass"]
         per_rank.append(entry)
     return {"ranks": per_rank, "pass": ok}
@@ -315,7 +298,7 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if ranks[-1] > DEFAULT_ENUMERATE_LIMIT:
-        # every suite walks all binom(n+8, 8) flats of each rank
+        # the walk of each rank visits all binom(n+8, 8) flats
         print(
             f"error: rank {ranks[-1]} exceeds the verify ceiling {DEFAULT_ENUMERATE_LIMIT}",
             file=sys.stderr,
@@ -323,15 +306,18 @@ def _cmd_verify(args) -> int:
         return EXIT_LIMIT
     cache = _cache_from_env()
     suites = ["oracle", "beta", "props", "mc"] if args.suite == "all" else [args.suite]
+    # one walk per rank, shared by the oracle, beta and props suites
+    walked = [] if args.suite == "mc" else ranks
+    rows = {n: list(rank_table(n, cache, canonical_only=True)) for n in walked}
     report = {"ranks": args.ranks, "suites": {}}
     ok = True
     for suite in suites:
         if suite == "oracle":
-            outcome = _suite_oracle(ranks, cache)
+            outcome = _suite_oracle(rows)
         elif suite == "beta":
-            outcome = _suite_beta(ranks, cache)
+            outcome = _suite_beta(rows)
         elif suite == "props":
-            outcome = _suite_props(ranks, cache)
+            outcome = _suite_props(rows)
         else:
             outcome = _suite_mc(args, cache)
         report["suites"][suite] = outcome

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 from operator import sub
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .evaluator import ValueCache, double_factorial, evaluate
 from .power_matrix import (
@@ -119,30 +119,44 @@ class PropositionReport:
         }
 
 
-def _make_report(rank: int, claim: str, violations: list[Flat]) -> PropositionReport:
-    witnesses = [PowerMatrix._trusted(flat) for flat in violations]
-    verdict = "holds" if not witnesses else "fails-with-witnesses"
-    return PropositionReport(rank, claim, enumeration_count(rank), witnesses, verdict)
+def _make_report(rank: int, claim: str, violations: list[PowerMatrix]) -> PropositionReport:
+    verdict = "holds" if not violations else "fails-with-witnesses"
+    return PropositionReport(rank, claim, enumeration_count(rank), violations, verdict)
+
+
+def _rank_checks(
+    n: int, rows: Iterable[tuple[PowerMatrix, Fraction]]
+) -> tuple[PropositionReport, Optional[PropositionReport], Optional[list[PowerMatrix]]]:
+    """Every vanishing-rule check at rank n, from its canonical rank_table rows.
+
+    Returns the even-rule or odd-rule report, then the prime-rule report and
+    the converse witnesses, both None unless n is an odd prime.  Values are
+    constant on orbits up to sign, so one row per orbit decides each claim,
+    and a violating orbit is reported through its canonical witness.
+    """
+    passing = [(chi, value != 0) for chi, value in rows if _selection_flat(chi.flat)]
+    if n % 2 == 0:
+        violations = [chi for chi, nonzero in passing if not nonzero]
+        return _make_report(n, "nonzero-iff-selection-rule", violations), None, None
+    dets = [(chi, nonzero, _det_flat(chi.flat)) for chi, nonzero in passing]
+    violations = [chi for chi, nonzero, det in dets if nonzero != (det != 0)]
+    rule = _make_report(n, "nonzero-iff-selection-rule-and-det", violations)
+    if not _is_odd_prime(n):
+        return rule, None, None
+    coprime_zero = [chi for chi, nonzero, det in dets if not nonzero and det % n]
+    prime = _make_report(n, "nonzero-when-selection-holds-and-rank-coprime-det", coprime_zero)
+    return rule, prime, [chi for chi, nonzero, det in dets if nonzero and det % n == 0]
 
 
 def verify_even_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
     """Check "average nonzero iff the selection rule holds" over all rank-n matrices.
 
-    Values are constant on orbits up to sign, so each orbit is checked once
-    and a violating orbit (selection rule holds, value 0) is reported
-    through its canonical witness.  Expected to hold for n in
-    {0, 2, 4, 6, 10, 12}; at n = 8 the witnesses are exactly the orbit of
-    RANK8_EXCEPTION.
+    Expected to hold for n in {0, 2, 4, 6, 10, 12}; at n = 8 the witnesses
+    are exactly the orbit of RANK8_EXCEPTION.
     """
     if n % 2:
         raise ValueError("even rank required")
-    cache = cache if cache is not None else ValueCache()
-    violations = [
-        rep
-        for rep in filter(_selection_flat, _representatives(n))
-        if evaluate(PowerMatrix._trusted(rep), cache) == 0
-    ]
-    return _make_report(n, "nonzero-iff-selection-rule", violations)
+    return _rank_checks(n, rank_table(n, cache, canonical_only=True))[0]
 
 
 def verify_odd_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
@@ -153,13 +167,7 @@ def verify_odd_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionRe
     """
     if n % 2 == 0:
         raise ValueError("odd rank required")
-    cache = cache if cache is not None else ValueCache()
-    violations = [
-        rep
-        for rep in filter(_selection_flat, _representatives(n))
-        if (evaluate(PowerMatrix._trusted(rep), cache) != 0) != (_det_flat(rep) != 0)
-    ]
-    return _make_report(n, "nonzero-iff-selection-rule-and-det", violations)
+    return _rank_checks(n, rank_table(n, cache, canonical_only=True))[0]
 
 
 def _is_odd_prime(n: int) -> bool:
@@ -177,13 +185,7 @@ def verify_prime_nonvanishing(n: int, cache: Optional[ValueCache] = None) -> Pro
     """At odd prime rank n: nonzero whenever the selection rule holds and n ∤ det."""
     if not _is_odd_prime(n):
         raise ValueError("odd prime rank required")
-    cache = cache if cache is not None else ValueCache()
-    violations = [
-        rep
-        for rep in filter(_selection_flat, _representatives(n))
-        if evaluate(PowerMatrix._trusted(rep), cache) == 0 and _det_flat(rep) % n
-    ]
-    return _make_report(n, "nonzero-when-selection-holds-and-rank-coprime-det", violations)
+    return _rank_checks(n, rank_table(n, cache, canonical_only=True))[1]
 
 
 def prop_converse_witnesses(n: int, cache: Optional[ValueCache] = None) -> list[PowerMatrix]:
@@ -194,12 +196,7 @@ def prop_converse_witnesses(n: int, cache: Optional[ValueCache] = None) -> list[
     """
     if not _is_odd_prime(n):
         raise ValueError("odd prime rank required")
-    cache = cache if cache is not None else ValueCache()
-    return [
-        PowerMatrix._trusted(rep)
-        for rep in filter(_selection_flat, _representatives(n))
-        if evaluate(PowerMatrix._trusted(rep), cache) != 0 and _det_flat(rep) % n == 0
-    ]
+    return _rank_checks(n, rank_table(n, cache, canonical_only=True))[2]
 
 
 def counterexample_family(v: int, y: int, w: int) -> PowerMatrix:

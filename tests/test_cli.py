@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import io
@@ -287,6 +288,21 @@ class TestAverage:
         code, _ = run_cli(capsys, "average", str(tmp_path / "missing.json"))
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("dest", ["no/such/dir/out.json", "."])
+    def test_unwritable_output_is_a_parse_error(self, capsys, tmp_path, dest):
+        # a missing directory once ended in a traceback with exit 1, the violation code
+        path = write_tensor(
+            tmp_path,
+            "s.json",
+            {"rank": 0, "mode": "exact", "components": [{"idx": [], "value": "3/4"}]},
+        )
+        code = main(["average", path, "--out", str(tmp_path / dest)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_rank_limit_exit_code(self, capsys, tmp_path):
         path = write_tensor(
             tmp_path,
@@ -362,6 +378,30 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "--suite", "beta", "-n", "oops")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "ranks", ["0..1_0", "+3", " 3", "3 ", "3\n", "\u0663", "1..\u0663", "1..", "..3", "", "3..1"]
+    )
+    def test_rank_range_is_ascii_n_or_n_to_m(self, capsys, ranks):
+        # "0..1_0" once ran ranks 0..10, and "+3", " 3" and an Arabic-Indic 3 ran rank 3
+        code = main(["verify", "--suite", "beta", "-n", ranks])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert "bad rank range" in captured.err
+
+    def test_each_rank_is_walked_once(self, capsys, monkeypatch):
+        # the oracle, beta and props suites share one walk of each rank's orbit minima
+        walks = collections.Counter()
+        representatives = rotavg.propositions._representatives
+
+        def counted(n):
+            walks[n] += 1
+            return representatives(n)
+
+        monkeypatch.setattr(rotavg.propositions, "_representatives", counted)
+        run_json(capsys, "verify", "--suite", "all", "-n", "0..7", "--mc-samples", "2000")
+        assert walks == {n: 1 for n in range(8)}
+
     @pytest.mark.parametrize("ranks", [str(DEFAULT_ENUMERATE_LIMIT + 1), "0..40"])
     def test_rank_ceiling(self, capsys, ranks):
         # every suite walks all binom(n+8, 8) flats per rank; rank 40 alone has 3.8e8
@@ -382,6 +422,24 @@ class TestVerify:
         assert code == EXIT_PARSE
         assert captured.out == ""
         assert "two samples" in captured.err
+
+
+# SHA-256 of `rotavg verify` stdout for the suites whose reports hold only exact
+# data (the oracle and mc reports carry platform-dependent float bits),
+# captured before the suites shared one walk per rank
+VERIFY_STDOUT_SHA256 = {
+    ("props", "0..13"): "76267c93aafc5162ccd05a3be07a77a4267f42a0e5818a392052c737089e2815",
+    ("beta", "0..10"): "ddd232afc581582168d005f7407256fa31c1a979e7929e8f59427bd4b1e9b841",
+}
+
+
+class TestVerifyGolden:
+    @pytest.mark.parametrize("suite,ranks", sorted(VERIFY_STDOUT_SHA256))
+    def test_stdout_digest(self, capsys, suite, ranks):
+        code, out = run_cli(capsys, "verify", "--suite", suite, "-n", ranks)
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == VERIFY_STDOUT_SHA256[suite, ranks]
 
 
 class ClosedPipe(io.TextIOBase):

@@ -52,6 +52,15 @@ class TestExportRankTables:
             expected = capsys.readouterr().out.encode("utf-8")
             assert (tmp_path / f"rank{n:02d}.jsonl").read_bytes() == expected
 
+    @pytest.mark.parametrize("ranks", ["0..1_0", "+3", " 3", "\u0663"])
+    def test_rank_range_is_ascii_n_or_n_to_m(self, monkeypatch, capsys, tmp_path, ranks):
+        # each was once read as a rank range through int()
+        outdir = tmp_path / "tables"
+        argv = ["--ranks", ranks, "--outdir", str(outdir)]
+        assert run_script(monkeypatch, "export_rank_tables", *argv) == EXIT_PARSE
+        assert not outdir.exists()
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("ranks", ["5..3", "-1", "1.5"])
     def test_bad_ranks_are_parse_errors(self, monkeypatch, tmp_path, ranks):
         # 5..3 once exited 0 having written nothing, -1 and 1.5 raised tracebacks
