@@ -41,10 +41,6 @@ DEFAULT_ENUMERATE_LIMIT = 13
 # the top of the rank range the benchmark times closed_form on
 DEFAULT_COMPUTE_LIMIT = 120
 
-# even/odd ranks where the simple vanishing rules are known to hold outright
-EVEN_RULE_RANKS = {0, 2, 4, 6, 10, 12}
-ODD_RULE_RANKS = {1, 3, 5, 7, 11, 13}
-
 
 def _cache_from_env() -> ValueCache:
     raw = os.environ.get("ROTAVG_CACHE_LIMIT")
@@ -240,19 +236,11 @@ def _suite_props(rows) -> dict:
     ok = True
     for n, rank_rows in rows.items():
         report, prime_report, converse = _rank_checks(n, rank_rows)
-        if n in EVEN_RULE_RANKS | ODD_RULE_RANKS:
-            expected = []
-        elif n in exceptions:
-            expected = [canonicalize(exceptions[n]).representative]
-        else:
-            expected = None  # no claim at this rank
+        # the simple rules hold outright at every rank verify accepts but 8 and 9
+        expected = [canonicalize(exceptions[n]).representative] if n in exceptions else []
         entry = report.to_json_obj()
-        if expected is None:
-            entry["expected_violations"] = None
-            entry["pass"] = True  # informational only
-        else:
-            entry["expected_violations"] = [chi.to_lists() for chi in expected]
-            entry["pass"] = report.violations == expected
+        entry["expected_violations"] = [chi.to_lists() for chi in expected]
+        entry["pass"] = report.violations == expected
         if prime_report is not None:
             entry["prime_nonvanishing"] = prime_report.to_json_obj()
             entry["prime_nonvanishing"]["pass"] = prime_report.verdict == "holds"
@@ -297,17 +285,17 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if ranks[-1] > DEFAULT_ENUMERATE_LIMIT:
+    # one walk per rank, shared by the oracle, beta and props suites
+    walked = [] if args.suite == "mc" else ranks
+    if walked and walked[-1] > DEFAULT_ENUMERATE_LIMIT:
         # the walk of each rank visits all binom(n+8, 8) flats
         print(
-            f"error: rank {ranks[-1]} exceeds the verify ceiling {DEFAULT_ENUMERATE_LIMIT}",
+            f"error: rank {walked[-1]} exceeds the verify ceiling {DEFAULT_ENUMERATE_LIMIT}",
             file=sys.stderr,
         )
         return EXIT_LIMIT
     cache = _cache_from_env()
     suites = ["oracle", "beta", "props", "mc"] if args.suite == "all" else [args.suite]
-    # one walk per rank, shared by the oracle, beta and props suites
-    walked = [] if args.suite == "mc" else ranks
     rows = {n: list(rank_table(n, cache, canonical_only=True)) for n in walked}
     report = {"ranks": args.ranks, "suites": {}}
     ok = True

@@ -12,7 +12,6 @@ module.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -26,18 +25,15 @@ from .power_matrix import (
 )
 
 _DF = [1, 1]  # k!! for k = -1, 0
-_DF_LOCK = threading.Lock()
 
 
 def double_factorial(k: int) -> int:
     """k!! = k (k-2) (k-4) ... with the conventions (-1)!! = 0!! = 1."""
     if k < -1:
         raise ValueError("double factorial requires k >= -1")
-    if len(_DF) <= k + 1:
-        with _DF_LOCK:
-            while len(_DF) <= k + 1:
-                m = len(_DF) - 1  # next argument to fill in
-                _DF.append(m * _DF[m - 1])
+    while len(_DF) <= k + 1:
+        m = len(_DF) - 1  # next argument to fill in
+        _DF.append(m * _DF[m - 1])
     return _DF[k + 1]
 
 
@@ -343,8 +339,7 @@ def threej000_squared(j1, j2, j3) -> Fraction:
 class ValueCache:
     """Memo of exact values keyed by orbit-minimal flat matrices.
 
-    Values are deterministic functions of the key, so concurrent inserts are
-    idempotent and need no locking under CPython.  An optional entry limit
+    Values are deterministic functions of the key.  An optional entry limit
     stops growth without affecting results.
     """
 

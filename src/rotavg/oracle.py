@@ -62,28 +62,36 @@ class QuadratureSpec:
         )
 
 
-def _cosine_entries(ca, sa, cb, sb, cg, sg):
-    """The nine direction cosines, row-major, for broadcastable angle arrays."""
-    return (
-        -sa * sg + ca * cb * cg,
-        -cg * sa - ca * cb * sg,
-        ca * sb,
-        ca * sg + cb * cg * sa,
-        ca * cg - cb * sa * sg,
-        sa * sb,
-        -cg * sb,
-        sb * sg,
-        cb * np.ones_like(ca * cg),
-    )
+# Row-major direction cosines l_ij of the z-y-z rotation, each a formula in
+# (cos a, sin a, cos b, sin b, cos g, sin g) for broadcastable angle arrays.
+# Entry (3,3) broadcasts cos b against the alpha/gamma shape explicitly: a
+# zero-stride broadcast would change einsum's summation order, and with it
+# the last bits of the quadrature.
+_COSINES = (
+    lambda ca, sa, cb, sb, cg, sg: -sa * sg + ca * cb * cg,
+    lambda ca, sa, cb, sb, cg, sg: -cg * sa - ca * cb * sg,
+    lambda ca, sa, cb, sb, cg, sg: ca * sb,
+    lambda ca, sa, cb, sb, cg, sg: ca * sg + cb * cg * sa,
+    lambda ca, sa, cb, sb, cg, sg: ca * cg - cb * sa * sg,
+    lambda ca, sa, cb, sb, cg, sg: sa * sb,
+    lambda ca, sa, cb, sb, cg, sg: -cg * sb,
+    lambda ca, sa, cb, sb, cg, sg: sb * sg,
+    lambda ca, sa, cb, sb, cg, sg: cb * np.ones_like(ca * cg),
+)
+
+# Monte Carlo draws this many rotations per batch; the batch size fixes how
+# the PCG64 stream is split, so it is part of what a seed reproduces.
+_MC_CHUNK = 1 << 16
 
 
 def euler_matrix(angles: AngleTriple) -> np.ndarray:
     """Rotation matrix of the z-y-z Euler angles (right-handed frame and screw)."""
-    ca, sa = np.cos(angles.alpha), np.sin(angles.alpha)
-    cb, sb = np.cos(angles.beta), np.sin(angles.beta)
-    cg, sg = np.cos(angles.gamma), np.sin(angles.gamma)
-    entries = _cosine_entries(ca, sa, cb, sb, cg, sg)
-    return np.array(entries, dtype=float).reshape(3, 3)
+    trig = (
+        np.cos(angles.alpha), np.sin(angles.alpha),
+        np.cos(angles.beta), np.sin(angles.beta),
+        np.cos(angles.gamma), np.sin(angles.gamma),
+    )
+    return np.array([cosine(*trig) for cosine in _COSINES], dtype=float).reshape(3, 3)
 
 
 def _grid(spec: QuadratureSpec):
@@ -97,19 +105,36 @@ def _grid(spec: QuadratureSpec):
     sb = np.sqrt(1.0 - xs * xs)[None, :, None]
     cg = np.cos(gammas)[None, None, :]
     sg = np.sin(gammas)[None, None, :]
-    return ca, sa, cb, sb, cg, sg, wb
+    return (ca, sa, cb, sb, cg, sg), wb
 
 
-def _monomial(entries, flat, shape) -> np.ndarray:
+def _monomial(entry, flat, shape) -> np.ndarray:
+    """Product of entry(k) ** flat[k], calling entry(k) only where flat[k] > 0."""
     prod = None
-    for value, power in zip(entries, flat):
+    for k, power in enumerate(flat):
         if power == 0:
             continue
-        factor = value ** power
+        factor = entry(k) ** power
         prod = factor if prod is None else prod * factor
     if prod is None:
         return np.ones(shape)
     return np.broadcast_to(prod, shape)
+
+
+def _quadrature(chi: PowerMatrix, spec: Optional[QuadratureSpec], entries) -> float:
+    """Product-rule average of the chi monomial.
+
+    entries(trig, shape) receives the grid's broadcast sines and cosines and
+    the grid shape, and returns the entry(k) callable that _monomial reads.
+    """
+    if spec is None:
+        spec = QuadratureSpec.for_rank(chi.rank)
+    trig, wb = _grid(spec)
+    shape = (spec.alpha_points, spec.beta_points, spec.gamma_points)
+    integrand = _monomial(entries(trig, shape), chi.flat, shape)
+    total = np.einsum("abg,b->", integrand, wb)
+    # uniform weights 2*pi/A and 2*pi/G against the 1/(8*pi^2) normalization
+    return float(total / (2.0 * spec.alpha_points * spec.gamma_points))
 
 
 def quadrature_average(chi: PowerMatrix, spec: Optional[QuadratureSpec] = None) -> float:
@@ -120,14 +145,7 @@ def quadrature_average(chi: PowerMatrix, spec: Optional[QuadratureSpec] = None) 
     whenever the parity selection rule holds; selection-rule-violating inputs
     integrate to 0 only approximately.
     """
-    if spec is None:
-        spec = QuadratureSpec.for_rank(chi.rank)
-    ca, sa, cb, sb, cg, sg, wb = _grid(spec)
-    shape = (spec.alpha_points, spec.beta_points, spec.gamma_points)
-    integrand = _monomial(_cosine_entries(ca, sa, cb, sb, cg, sg), chi.flat, shape)
-    total = np.einsum("abg,b->", integrand, wb)
-    # uniform weights 2*pi/A and 2*pi/G against the 1/(8*pi^2) normalization
-    return float(total / (2.0 * spec.alpha_points * spec.gamma_points))
+    return _quadrature(chi, spec, lambda trig, shape: lambda k: _COSINES[k](*trig))
 
 
 def invariance_probe(
@@ -148,22 +166,18 @@ def invariance_probe(
         raise ValueError("h is not a proper rotation (det != 1)")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if spec is None:
-        spec = QuadratureSpec.for_rank(chi.rank)
-    ca, sa, cb, sb, cg, sg, wb = _grid(spec)
-    shape = (spec.alpha_points, spec.beta_points, spec.gamma_points)
-    entries = _cosine_entries(ca, sa, cb, sb, cg, sg)
-    g = np.stack([np.broadcast_to(e, shape) for e in entries], axis=-1).reshape(shape + (3, 3))
-    composed = np.matmul(h, g) if side == "left" else np.matmul(g, h)
-    flat_entries = [composed[..., i, j] for i in range(3) for j in range(3)]
-    integrand = _monomial(flat_entries, chi.flat, shape)
-    total = np.einsum("abg,b->", integrand, wb)
-    return float(total / (2.0 * spec.alpha_points * spec.gamma_points))
+
+    def composed_entries(trig, shape):
+        g = np.stack(
+            [np.broadcast_to(cosine(*trig), shape) for cosine in _COSINES], axis=-1
+        ).reshape(shape + (3, 3))
+        composed = np.matmul(h, g) if side == "left" else np.matmul(g, h)
+        return lambda k: composed[..., k // 3, k % 3]
+
+    return _quadrature(chi, spec, composed_entries)
 
 
-def monte_carlo_average(
-    chi: PowerMatrix, samples: int, seed: int, chunk: int = 1 << 16
-) -> tuple[float, float]:
+def monte_carlo_average(chi: PowerMatrix, samples: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of the chi monomial over uniform random rotations.
 
     Rotations are sampled through the product measure (alpha uniform,
@@ -179,16 +193,14 @@ def monte_carlo_average(
     total_sq = 0.0
     remaining = samples
     while remaining:
-        m = min(chunk, remaining)
+        m = min(_MC_CHUNK, remaining)
         remaining -= m
         alpha = rng.uniform(0.0, 2 * pi, m)
         cb = rng.uniform(-1.0, 1.0, m)
         gamma = rng.uniform(0.0, 2 * pi, m)
         sb = np.sqrt(1.0 - cb * cb)
-        entries = _cosine_entries(
-            np.cos(alpha), np.sin(alpha), cb, sb, np.cos(gamma), np.sin(gamma)
-        )
-        values = _monomial(entries, flat, (m,))
+        trig = (np.cos(alpha), np.sin(alpha), cb, sb, np.cos(gamma), np.sin(gamma))
+        values = _monomial(lambda k: _COSINES[k](*trig), flat, (m,))
         total += float(values.sum())
         total_sq += float((values * values).sum())
     mean = total / samples

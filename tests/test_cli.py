@@ -411,6 +411,20 @@ class TestVerify:
         assert captured.out == ""
         assert "ceiling" in captured.err
 
+    @pytest.mark.parametrize("suite", ["all", "props"])
+    def test_rank_ceiling_binds_every_walking_suite(self, capsys, suite):
+        code = main(["verify", "--suite", suite, "-n", str(DEFAULT_ENUMERATE_LIMIT + 1)])
+        captured = capsys.readouterr()
+        assert code == EXIT_LIMIT
+        assert captured.out == ""
+
+    def test_mc_suite_ignores_the_rank_ceiling(self, capsys):
+        # the mc suite walks no rank; rank 14 once exited 3 all the same
+        above = str(DEFAULT_ENUMERATE_LIMIT + 1)
+        high = run_json(capsys, "verify", "--suite", "mc", "-n", above, "--mc-samples", "2000")
+        low = run_json(capsys, "verify", "--suite", "mc", "-n", "0", "--mc-samples", "2000")
+        assert high["suites"]["mc"] == low["suites"]["mc"]
+
     def test_props_suite_runs_at_the_ceiling(self, capsys):
         report = run_json(capsys, "verify", "--suite", "props", "-n", str(DEFAULT_ENUMERATE_LIMIT))
         assert report["pass"] is True

@@ -7,6 +7,7 @@ from rotavg import (
     AngleTriple,
     PowerMatrix,
     QuadratureSpec,
+    default_mc_battery,
     euler_matrix,
     evaluate,
     invariance_probe,
@@ -160,3 +161,114 @@ class TestInvarianceProbe:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             invariance_probe(ZERO, np.eye(3), "middle")
+
+
+# Reference copy of the eager oracle: all nine direction cosines built at
+# every call, then the monomial over them.  The library builds only the
+# cosines a monomial uses; every float it returns must equal this one's bit
+# for bit.
+
+
+def _ref_cosine_entries(ca, sa, cb, sb, cg, sg):
+    return (
+        -sa * sg + ca * cb * cg,
+        -cg * sa - ca * cb * sg,
+        ca * sb,
+        ca * sg + cb * cg * sa,
+        ca * cg - cb * sa * sg,
+        sa * sb,
+        -cg * sb,
+        sb * sg,
+        cb * np.ones_like(ca * cg),
+    )
+
+
+def _ref_grid(spec):
+    alphas = np.arange(spec.alpha_points) * (2 * pi / spec.alpha_points)
+    gammas = np.arange(spec.gamma_points) * (2 * pi / spec.gamma_points)
+    xs, wb = np.polynomial.legendre.leggauss(spec.beta_points)
+    ca = np.cos(alphas)[:, None, None]
+    sa = np.sin(alphas)[:, None, None]
+    cb = xs[None, :, None]
+    sb = np.sqrt(1.0 - xs * xs)[None, :, None]
+    cg = np.cos(gammas)[None, None, :]
+    sg = np.sin(gammas)[None, None, :]
+    return ca, sa, cb, sb, cg, sg, wb
+
+
+def _ref_monomial(entries, flat, shape):
+    prod = None
+    for value, power in zip(entries, flat):
+        if power == 0:
+            continue
+        factor = value ** power
+        prod = factor if prod is None else prod * factor
+    if prod is None:
+        return np.ones(shape)
+    return np.broadcast_to(prod, shape)
+
+
+def _ref_quadrature(chi, spec, h=None, side="left"):
+    ca, sa, cb, sb, cg, sg, wb = _ref_grid(spec)
+    shape = (spec.alpha_points, spec.beta_points, spec.gamma_points)
+    entries = _ref_cosine_entries(ca, sa, cb, sb, cg, sg)
+    if h is not None:
+        g = np.stack([np.broadcast_to(e, shape) for e in entries], axis=-1).reshape(shape + (3, 3))
+        composed = np.matmul(h, g) if side == "left" else np.matmul(g, h)
+        entries = [composed[..., i, j] for i in range(3) for j in range(3)]
+    integrand = _ref_monomial(entries, chi.flat, shape)
+    total = np.einsum("abg,b->", integrand, wb)
+    return float(total / (2.0 * spec.alpha_points * spec.gamma_points))
+
+
+def _ref_monte_carlo(chi, samples, seed, chunk=1 << 16):
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    remaining = samples
+    while remaining:
+        m = min(chunk, remaining)
+        remaining -= m
+        alpha = rng.uniform(0.0, 2 * pi, m)
+        cb = rng.uniform(-1.0, 1.0, m)
+        gamma = rng.uniform(0.0, 2 * pi, m)
+        sb = np.sqrt(1.0 - cb * cb)
+        entries = _ref_cosine_entries(
+            np.cos(alpha), np.sin(alpha), cb, sb, np.cos(gamma), np.sin(gamma)
+        )
+        values = _ref_monomial(entries, chi.flat, (m,))
+        total += float(values.sum())
+        total_sq += float((values * values).sum())
+    mean = total / samples
+    variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    return mean, float(np.sqrt(variance / samples))
+
+
+class TestBitIdenticalToEagerReference:
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_quadrature(self, refine):
+        for n in range(0, 6):
+            for chi in canonical_representatives(n):
+                spec = QuadratureSpec.for_rank(n)
+                if refine:
+                    spec = spec.refined()
+                assert quadrature_average(chi, spec) == _ref_quadrature(chi, spec), chi
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_invariance_probe(self, side):
+        rotations = [
+            euler_matrix(AngleTriple(0.3, 1.1, 2.0)),
+            euler_matrix(AngleTriple(5.9, 2.7, 0.4)),
+        ]
+        for h in rotations:
+            for n in range(0, 5):
+                for chi in canonical_representatives(n):
+                    spec = QuadratureSpec.for_rank(n)
+                    expected = _ref_quadrature(chi, spec, h, side)
+                    assert invariance_probe(chi, h, side) == expected, chi
+
+    def test_monte_carlo_over_two_chunks(self):
+        for i, chi in enumerate(default_mc_battery()):
+            assert monte_carlo_average(chi, 70_000, seed=i) == _ref_monte_carlo(
+                chi, 70_000, seed=i
+            ), chi

@@ -25,3 +25,13 @@ def test_tracer_installs_on_every_entry_point():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_selftest_passes():
+    # every workload's output check and metric set, at tiny sizes
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
