@@ -2,9 +2,12 @@
 
 Exit codes are stable: 0 success, 1 verification violation, 2 parse error,
 3 limit exceeded, 141 (128 + SIGPIPE) when the reader of stdout closes
-it early.  Exact rationals render as "p/q"; floats are shortest
-round-trip.  The optional ROTAVG_CACHE_LIMIT environment variable caps the
-number of cached orbit values.
+it early.  Commands raise; main alone maps a RankLimitError to 3 and any
+other ValueError or OSError to 2, with one "error:" line on stderr.
+Integer inputs are ASCII digits with an optional minus sign.  Exact
+rationals render as "p/q"; floats are shortest round-trip.  The optional
+ROTAVG_CACHE_LIMIT environment variable caps the number of cached orbit
+values.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .power_matrix import (
 )
 from .propositions import RANK8_EXCEPTION, RANK9_EXCEPTION, _rank_checks, rank_table
 from .rationals import format_rational
-from .tensors import DEFAULT_MAX_RANK, DenseTensor, RankLimitError, average_tensor
+from .tensors import DEFAULT_MAX_RANK, DenseTensor, RankLimitError, _check_ceiling, average_tensor
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -41,15 +44,24 @@ DEFAULT_ENUMERATE_LIMIT = 13
 # the top of the rank range the benchmark times closed_form on
 DEFAULT_COMPUTE_LIMIT = 120
 
+# int() alone also reads "+3", " 3", "1_0" and the digits of other scripts
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """An integer written in ASCII digits with an optional minus sign, nothing else."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"bad integer {text!r}; expected ASCII digits")
+    return int(text)
+
 
 def _cache_from_env() -> ValueCache:
     raw = os.environ.get("ROTAVG_CACHE_LIMIT")
     if raw is None:
         return ValueCache()
-    try:
-        return ValueCache(limit=int(raw))
-    except ValueError as exc:
-        raise ValueError(f"bad ROTAVG_CACHE_LIMIT: {raw!r}") from exc
+    if not _INTEGER.fullmatch(raw):
+        raise ValueError(f"bad ROTAVG_CACHE_LIMIT: {raw!r}")
+    return ValueCache(limit=int(raw))
 
 
 def _parse_chi(text: str) -> PowerMatrix:
@@ -69,7 +81,7 @@ def _parse_indices(text: str) -> PowerMatrix:
     mols: list[int] = []
     if stripped:
         for token in stripped.split(","):
-            if len(token) != 2 or not token.isdigit():
+            if not re.fullmatch(r"[0-9]{2}", token):
                 raise ValueError(f"bad index pair {token!r}; expected two digits like '23'")
             labs.append(int(token[0]))
             mols.append(int(token[1]))
@@ -99,57 +111,29 @@ def _output_record(chi: PowerMatrix, cache: ValueCache) -> dict:
 
 
 def _cmd_compute(args) -> int:
-    try:
-        if args.chi is not None:
-            chi = _parse_chi(args.chi)
-        else:
-            chi = _parse_indices(args.indices)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if chi.rank > args.max_rank:
-        print(
-            f"error: rank {chi.rank} exceeds the configured maximum {args.max_rank}",
-            file=sys.stderr,
-        )
-        return EXIT_LIMIT
+    chi = _parse_chi(args.chi) if args.chi is not None else _parse_indices(args.indices)
+    _check_ceiling(chi.rank, args.max_rank)
     print(json.dumps(_output_record(chi, _cache_from_env())))
     return EXIT_OK
 
 
 def _cmd_average(args) -> int:
-    try:
-        with open(args.tensor_file, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-        tensor = DenseTensor.from_json_obj(obj)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        averaged = average_tensor(tensor, max_rank=args.max_rank, cache=_cache_from_env())
-    except RankLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    with open(args.tensor_file, "r", encoding="utf-8") as handle:
+        tensor = DenseTensor.from_json_obj(json.load(handle))
+    averaged = average_tensor(tensor, max_rank=args.max_rank, cache=_cache_from_env())
     payload = json.dumps(averaged.to_json_obj(nonzero_only=args.nonzero_only), indent=2)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
     else:
         print(payload)
     return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
-    if args.rank < 0 or args.rank > args.max_rank:
-        print(
-            f"error: rank {args.rank} outside the configured limit {args.max_rank}",
-            file=sys.stderr,
-        )
-        return EXIT_LIMIT
+    if args.rank < 0:  # before the csv header goes out
+        raise ValueError(f"rank must be nonnegative, got {args.rank}")
+    _check_ceiling(args.rank, args.max_rank)
     rows = rank_table(
         args.rank, cache=_cache_from_env(), nonzero=args.nonzero, canonical_only=args.canonical
     )
@@ -280,22 +264,18 @@ def _suite_mc(args, cache) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        ranks = _parse_rank_range(args.ranks)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    # one walk per rank, shared by the oracle, beta and props suites
-    walked = [] if args.suite == "mc" else ranks
-    if walked and walked[-1] > DEFAULT_ENUMERATE_LIMIT:
-        # the walk of each rank visits all binom(n+8, 8) flats
-        print(
-            f"error: rank {walked[-1]} exceeds the verify ceiling {DEFAULT_ENUMERATE_LIMIT}",
-            file=sys.stderr,
-        )
-        return EXIT_LIMIT
-    cache = _cache_from_env()
+    ranks = _parse_rank_range(args.ranks)
     suites = ["oracle", "beta", "props", "mc"] if args.suite == "all" else [args.suite]
+    if "mc" in suites and args.mc_samples < 2:
+        raise ValueError(f"--mc-samples needs at least two samples, got {args.mc_samples}")
+    if "mc" in suites and args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+    # one walk per rank, shared by the oracle, beta and props suites; the
+    # walk of each rank visits all binom(n+8, 8) flats
+    walked = [] if suites == ["mc"] else ranks
+    if walked:
+        _check_ceiling(walked[-1], DEFAULT_ENUMERATE_LIMIT)
+    cache = _cache_from_env()
     rows = {n: list(rank_table(n, cache, canonical_only=True)) for n in walked}
     report = {"ranks": args.ranks, "suites": {}}
     ok = True
@@ -327,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--chi", help='3x3 JSON matrix, e.g. "[[1,0,0],[0,1,0],[0,0,1]]"')
     src.add_argument("--indices", help='lab/molecular digit pairs, e.g. "11,22,33"')
     p_compute.add_argument(
-        "--max-rank", type=int, default=DEFAULT_COMPUTE_LIMIT,
+        "--max-rank", type=integer, default=DEFAULT_COMPUTE_LIMIT,
         help=f"rank ceiling (default {DEFAULT_COMPUTE_LIMIT})",
     )
     p_compute.set_defaults(func=_cmd_compute)
@@ -337,18 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_average.add_argument("--out", help="output path (default: stdout)")
     p_average.add_argument("--nonzero-only", action="store_true", help="emit only nonzero components")
     p_average.add_argument(
-        "--max-rank", type=int, default=DEFAULT_MAX_RANK,
+        "--max-rank", type=integer, default=DEFAULT_MAX_RANK,
         help=f"rank ceiling (default {DEFAULT_MAX_RANK})",
     )
     p_average.set_defaults(func=_cmd_average)
 
     p_enum = sub.add_parser("enumerate", help="list all matrices of one rank with values")
-    p_enum.add_argument("-n", "--rank", type=int, required=True)
+    p_enum.add_argument("-n", "--rank", type=integer, required=True)
     p_enum.add_argument("--nonzero", action="store_true", help="only matrices with nonzero average")
     p_enum.add_argument("--canonical", action="store_true", help="one representative per orbit")
     p_enum.add_argument("--format", choices=("json", "csv"), default="json")
-    p_enum.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    p_enum.add_argument("--max-rank", type=int, default=DEFAULT_ENUMERATE_LIMIT)
+    p_enum.add_argument("--threads", type=integer, default=1, help="accepted and ignored")
+    p_enum.add_argument("--max-rank", type=integer, default=DEFAULT_ENUMERATE_LIMIT)
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run cross-check suites")
@@ -356,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=("oracle", "beta", "props", "mc", "all"), default="all"
     )
     p_verify.add_argument("-n", "--ranks", default="0..6", help='rank range like "0..6" or "8"')
-    p_verify.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    p_verify.add_argument("--mc-samples", type=int, default=1_000_000)
-    p_verify.add_argument("--seed", type=int, default=20240801)
+    p_verify.add_argument("--threads", type=integer, default=1, help="accepted and ignored")
+    p_verify.add_argument("--mc-samples", type=integer, default=1_000_000)
+    p_verify.add_argument("--seed", type=integer, default=20240801)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser
@@ -370,16 +350,16 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe then raises here, not at exit
         return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it goes first
         if sys.stdout is sys.__stdout__:
             # the interpreter flushes stdout again at exit; send that to devnull
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except (ValueError, OSError) as exc:  # JSONDecodeError and RankLimitError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT if isinstance(exc, RankLimitError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -75,30 +75,6 @@ def canonical_representatives(n: int) -> list[PowerMatrix]:
     return [PowerMatrix._trusted(flat) for flat in _representatives(n)]
 
 
-def _orbit_scan(n: int) -> Iterator[tuple[Flat, Optional[Flat], int]]:
-    """Every rank-n flat in lexicographic order as (flat, orbit minimum, sign).
-
-    The sign is the one :func:`rotavg.power_matrix.canonical_flat` reports.
-    The first flat of an orbit that the walk meets is its minimum; the scan
-    expands that orbit once and pops each image when the walk reaches it,
-    so it only holds images still ahead.  Orbits that fail the selection
-    rule are not expanded: their flats come with minimum None and sign 0.
-    """
-    ahead: dict[Flat, tuple[Flat, int]] = {}
-    for flat in _compositions(n, 9):
-        found = ahead.pop(flat, None)
-        if found is not None:
-            yield flat, found[0], found[1]
-        elif _selection_flat(flat):
-            signs = orbit_signs(flat)
-            sign = signs.pop(flat)
-            for image, image_sign in signs.items():
-                ahead[image] = (flat, image_sign)
-            yield flat, flat, sign
-        else:
-            yield flat, None, 0
-
-
 @dataclass
 class PropositionReport:
     """Outcome of one exhaustive rank check."""
@@ -249,8 +225,11 @@ def rank_table(
     """All rank-n matrices with their exact averages, in lexicographic order.
 
     Values match :func:`rotavg.evaluator.evaluate` exactly, which runs once
-    per selection-passing orbit; every other row follows from the orbit scan.
-    ``threads`` is accepted for compatibility and ignored.
+    per selection-passing orbit.  The walk meets each orbit first at its
+    minimum; it evaluates there and holds the signed value of every image
+    still ahead, popping each when the walk reaches it.  Rows of one orbit
+    share value objects.  ``threads`` is accepted for compatibility and
+    ignored.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
@@ -262,15 +241,17 @@ def rank_table(
             if not nonzero or value:
                 yield chi, value
         return
-    signed: dict[Flat, tuple[Fraction, Fraction, Fraction]] = {}  # by sign 0, 1, -1
-    for flat, rep, sign in _orbit_scan(n):
-        if rep is None:
+    ahead: dict[Flat, Fraction] = {}
+    for flat in _compositions(n, 9):
+        value = ahead.pop(flat, None)
+        if value is None and _selection_flat(flat):
+            signs = orbit_signs(flat)
+            exact = evaluate(PowerMatrix._trusted(flat), cache)
+            values = (_ZERO, exact, -exact)  # by sign 0, 1, -1
+            value = values[signs.pop(flat)]
+            for image, sign in signs.items():
+                ahead[image] = values[sign]
+        elif value is None:
             value = _ZERO
-        else:
-            values = signed.get(rep)
-            if values is None:
-                value = evaluate(PowerMatrix._trusted(rep), cache)
-                values = signed[rep] = (_ZERO, value, -value)
-            value = values[sign]
         if not nonzero or value:
             yield PowerMatrix._trusted(flat), value

@@ -36,7 +36,12 @@ PAIR_CODE_MAX_RANK = 127
 
 
 class RankLimitError(ValueError):
-    """Requested tensor rank exceeds the configured ceiling."""
+    """A requested rank exceeds its ceiling."""
+
+
+def _check_ceiling(rank: int, ceiling: int, name: str = "ceiling") -> None:
+    if rank > ceiling:
+        raise RankLimitError(f"rank {rank} exceeds the {name} {ceiling}")
 
 
 def _coerce_value(value, mode: str):
@@ -167,8 +172,7 @@ class _PairKernel:
 
     def __init__(self, tensor: DenseTensor, cache: Optional[ValueCache]):
         n = tensor.rank
-        if n > PAIR_CODE_MAX_RANK:
-            raise RankLimitError(f"rank {n} exceeds the pair-code limit {PAIR_CODE_MAX_RANK}")
+        _check_ceiling(n, PAIR_CODE_MAX_RANK, "pair-code ceiling")
         self.base = n + 1
         self.exact = tensor.mode == "exact"
         self.cache = cache
@@ -204,30 +208,18 @@ class _PairKernel:
 
     def component(self, lab: IndexTuple):
         """sum of <...> * T over the stored molecular tuples, for a validated lab tuple."""
-        if not len(self.values):
-            return Fraction(0) if self.exact else 0.0
         codes = self.terms[self.positions, np.array(lab, dtype=np.intp) - 1].sum(axis=0)
-        if not self.exact:
-            # bincount adds each group in component order, then the groups
-            # are added in flat order: the order of a per-group Python sum
-            codes, inverse = np.unique(codes, return_inverse=True)
-            partials = np.bincount(inverse, weights=self.values)
-            result = 0.0
-            for code, partial in zip(codes.tolist(), partials.tolist()):
-                weight = self._weight(code)
-                if weight:
-                    result += weight * partial
-            return result
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        starts = np.flatnonzero(np.diff(codes, prepend=-1))
-        sums = np.add.reduceat(self.values[order], starts)
-        total = Fraction(0)
-        for code, partial in zip(codes[starts].tolist(), sums.tolist()):
+        # add.at sums each group in component order, then the groups are
+        # added in flat order: the order of a per-group Python sum
+        codes, inverse = np.unique(codes, return_inverse=True)
+        partials = np.zeros(len(codes), dtype=self.values.dtype)
+        np.add.at(partials, inverse, self.values)
+        total = Fraction(0) if self.exact else 0.0
+        for code, partial in zip(codes.tolist(), partials.tolist()):
             weight = self._weight(code)
             if weight:
                 total += weight * partial
-        return total / self.denominator
+        return total / self.denominator if self.exact else total
 
 
 def average_component(lab_idx, tensor: DenseTensor, cache: Optional[ValueCache] = None):
@@ -252,8 +244,7 @@ def average_tensor(
     zero for every molecular tuple and are skipped without evaluation.
     """
     n = tensor.rank
-    if n > max_rank:
-        raise RankLimitError(f"rank {n} exceeds the configured maximum {max_rank}")
+    _check_ceiling(n, max_rank)
     kernel = _PairKernel(tensor, cache)
     parity = n & 1
     out: dict[IndexTuple, object] = {}

@@ -456,6 +456,99 @@ class TestVerifyGolden:
         assert digest == VERIFY_STDOUT_SHA256[suite, ranks]
 
 
+def run_failing(capsys, argv):
+    """Run a command that must fail; return (exit code, stderr), checking stdout stays empty."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+class TestExitCodes:
+    """main maps every failure to its exit code and one `error:` line on stderr."""
+
+    @pytest.mark.parametrize("text", ["1_0", " 3", "+3", "\u0663"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "-n", "{}"],
+            ["enumerate", "-n", "3", "--max-rank", "{}"],
+            ["enumerate", "-n", "3", "--threads", "{}"],
+            ["compute", "--indices", "11", "--max-rank", "{}"],
+            ["average", "{path}", "--max-rank", "{}"],
+            ["verify", "--suite", "mc", "--mc-samples", "{}"],
+            ["verify", "--suite", "mc", "--seed", "{}"],
+            ["verify", "--suite", "beta", "--threads", "{}"],
+        ],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, capsys, tmp_path, argv, text):
+        # int() reads all four, so "-n 1_2 --max-rank 1_3" once ran rank 12
+        path = write_tensor(tmp_path, "s.json", {"rank": 0, "mode": "exact", "components": []})
+        code, _ = run_failing(capsys, [arg.format(text, path=path) for arg in argv])
+        assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("text", ["1_0", " 3", "+3", "\u0663", "-1"])
+    def test_cache_limit_takes_ascii_digits_only(self, capsys, monkeypatch, text):
+        monkeypatch.setenv("ROTAVG_CACHE_LIMIT", text)
+        code, err = run_failing(capsys, ["compute", "--indices", "11,22,33"])
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("indices", ["1\u0663", "\u0661\u0661"])
+    def test_index_digits_are_ascii(self, capsys, indices):
+        code, _ = run_failing(capsys, ["compute", "--indices", indices])
+        assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_negative_enumerate_rank_is_a_parse_error(self, capsys, fmt):
+        # it once exited 3, as if a ceiling had been hit
+        code, err = run_failing(capsys, ["enumerate", "-n", "-1", "--format", fmt])
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--chi", "[[0,0,0],[0,0,0],[0,0,121]]"],
+            ["enumerate", "-n", str(DEFAULT_ENUMERATE_LIMIT + 1)],
+            ["verify", "--suite", "beta", "-n", str(DEFAULT_ENUMERATE_LIMIT + 1)],
+            ["average", "{r3}", "--max-rank", "2"],
+            # the pair-code ceiling, hit only when --max-rank lets it through
+            ["average", "{r128}", "--max-rank", "200"],
+        ],
+    )
+    def test_every_ceiling_exits_3_with_one_error_line(self, capsys, tmp_path, argv):
+        paths = {
+            "r3": write_tensor(
+                tmp_path, "r3.json", {"rank": 3, "mode": "exact", "components": [{"idx": [1, 2, 3], "value": "1"}]}
+            ),
+            "r128": write_tensor(
+                tmp_path, "r128.json", {"rank": 128, "mode": "exact", "components": [{"idx": [1] * 128, "value": "1"}]}
+            ),
+        }
+        code, err = run_failing(capsys, [arg.format(**paths) for arg in argv])
+        assert code == EXIT_LIMIT
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert "ceiling" in err
+
+    @pytest.mark.parametrize("suite", ["all", "mc"])
+    @pytest.mark.parametrize("flags", [["--mc-samples", "1"], ["--seed", "-1"]])
+    def test_mc_arguments_are_checked_before_the_walk(self, capsys, monkeypatch, suite, flags):
+        # both once failed only after every rank of -n had been walked
+        def no_walk(*args, **kwargs):
+            raise AssertionError("verify walked a rank before checking its arguments")
+
+        monkeypatch.setattr(rotavg.cli, "rank_table", no_walk)
+        code, err = run_failing(capsys, ["verify", "--suite", suite, "-n", "0..11", *flags])
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+
 class ClosedPipe(io.TextIOBase):
     def writable(self):
         return True

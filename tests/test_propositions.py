@@ -29,7 +29,7 @@ from rotavg import (
 )
 from rotavg.power_matrix import _selection_flat, canonical_flat
 from rotavg import evaluator
-from rotavg.propositions import _orbit_scan, canonical_representatives
+from rotavg.propositions import canonical_representatives
 
 
 class TestEnumeration:
@@ -67,16 +67,17 @@ class TestEnumeration:
 
 class TestOrbitScan:
     def test_matches_canonical_flat_through_rank_11(self):
+        # rank_table's look-ahead walk gives every flat its orbit's signed value
+        cache = ValueCache()
         sign_zero_at_odd_rank = 0
         for n in range(12):
             flats = []
-            for flat, rep, sign in _orbit_scan(n):
-                flats.append(flat)
-                if _selection_flat(flat):
-                    assert (rep, sign) == canonical_flat(flat)
-                    sign_zero_at_odd_rank += n % 2 == 1 and sign == 0
-                else:
-                    assert (rep, sign) == (None, 0)
+            for chi, value in rank_table(n, cache):
+                flats.append(chi.flat)
+                assert value == evaluate(chi, cache)
+                if _selection_flat(chi.flat) and canonical_flat(chi.flat)[1] == 0:
+                    assert value == 0
+                    sign_zero_at_odd_rank += n % 2
             assert flats == sorted(set(flats))
             assert len(flats) == enumeration_count(n)
         assert sign_zero_at_odd_rank > 0
