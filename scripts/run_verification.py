@@ -4,7 +4,9 @@
 Runs ``rotavg verify --suite all -n 0..M``, then ``--suite props -n M+1..P``
 when P > M.  The report is {"pass": bool, "runs": [<rotavg verify report>,
 ...]}; the exit code is the highest of the runs: 0 pass, 1 a check failed,
-2 a bad rank range, 3 a rank above verify's ceiling (13).
+2 a bad rank range, 3 a rank above verify's ceiling (13).  An integer flag
+takes ASCII digits with an optional minus sign, as rotavg's own do; any
+other value exits 2 before any run, with no report.
 
 Usage:
     python scripts/run_verification.py [--max-rank 8] [--props-max-rank 13]
@@ -17,17 +19,17 @@ import io
 import json
 import sys
 
-from rotavg.cli import EXIT_LIMIT, EXIT_PARSE, main as rotavg
+from rotavg.cli import EXIT_LIMIT, EXIT_PARSE, integer, main as rotavg
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-rank", type=int, default=8,
+    parser.add_argument("--max-rank", type=integer, default=8,
                         help="top rank for every suite (default 8)")
-    parser.add_argument("--props-max-rank", type=int, default=13,
+    parser.add_argument("--props-max-rank", type=integer, default=13,
                         help="top rank for the vanishing-rule sweeps (default 13)")
-    parser.add_argument("--mc-samples", type=int, help="default: rotavg verify's")
-    parser.add_argument("--seed", type=int, help="default: rotavg verify's")
+    parser.add_argument("--mc-samples", type=integer, help="default: rotavg verify's")
+    parser.add_argument("--seed", type=integer, help="default: rotavg verify's")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     args = parser.parse_args()
 

@@ -13,8 +13,6 @@ values.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import re
@@ -130,6 +128,20 @@ def _cmd_average(args) -> int:
     return EXIT_OK
 
 
+# Each format's header, row head (the matrix) and row tail (rank, value,
+# value_float).  Every field is an int, an ASCII -?[0-9]+(/[0-9]+)? string or
+# a finite float; json.dumps and csv.writer (QUOTE_MINIMAL) neither quote nor
+# escape any of these, so the templates give the bytes those writers would.
+_ENUMERATE_TEMPLATES = {
+    "json": (
+        "",
+        '{"chi": [[%d, %d, %d], [%d, %d, %d], [%d, %d, %d]], ',
+        '"rank": %d, "value": "%s", "value_float": %r}\n',
+    ),
+    "csv": ("Q,R,S,T,U,V,W,X,Y,rank,value,value_float\n", "%d,%d,%d,%d,%d,%d,%d,%d,%d,", "%d,%s,%r\n"),
+}
+
+
 def _cmd_enumerate(args) -> int:
     if args.rank < 0:  # before the csv header goes out
         raise ValueError(f"rank must be nonnegative, got {args.rank}")
@@ -137,47 +149,29 @@ def _cmd_enumerate(args) -> int:
     rows = rank_table(
         args.rank, cache=_cache_from_env(), nonzero=args.nonzero, canonical_only=args.canonical
     )
+    header, head, tail = _ENUMERATE_TEMPLATES[args.format]
     # Each row is its matrix followed by a tail that depends only on the
-    # value; the tail is rendered once per value object by the same json/csv
-    # code that would render the whole row, so the bytes match it.  Rows
-    # share a few value objects, and keying by id() skips Fraction.__hash__;
-    # each entry keeps its object alive, so an id is never reused meanwhile.
+    # value; the tail is rendered once per value object.  Rows share a few
+    # value objects, and keying by id() skips Fraction.__hash__; each entry
+    # keeps its object alive, so an id is never reused meanwhile.
     tails: dict = {}
-    if args.format == "csv":
-        head = "%d,%d,%d,%d,%d,%d,%d,%d,%d,"
-        sink = io.StringIO()
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(["Q", "R", "S", "T", "U", "V", "W", "X", "Y", "rank", "value", "value_float"])
-        sys.stdout.write(sink.getvalue())
-
-        def render_tail(value):
-            sink.seek(0)
-            sink.truncate()
-            writer.writerow([args.rank, format_rational(value), repr(float(value))])
-            return sink.getvalue()
-    else:
-        head = '{"chi": [[%d, %d, %d], [%d, %d, %d], [%d, %d, %d]], '
-
-        def render_tail(value):
-            record = {"rank": args.rank, "value": format_rational(value), "value_float": float(value)}
-            return json.dumps(record)[1:] + "\n"
-
     write = sys.stdout.write
+    write(header)
     for chi, value in rows:
         entry = tails.get(id(value))
         if entry is None:
-            entry = tails[id(value)] = (value, render_tail(value))
+            entry = tails[id(value)] = (value, tail % (args.rank, format_rational(value), float(value)))
         write(head % chi.flat + entry[1])
     return EXIT_OK
 
 
-def _parse_rank_range(text: str) -> list[int]:
+def _parse_rank_range(text: str) -> range:
     """Ranks "N" or "N..M" with N <= M, written in ASCII digits and nothing else."""
     match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
     if match:
         start, stop = int(match[1]), int(match[2] or match[1])
         if start <= stop:
-            return list(range(start, stop + 1))
+            return range(start, stop + 1)
     raise ValueError(f"bad rank range {text!r}; expected N or N..M")
 
 

@@ -3,8 +3,8 @@
 import re
 from fractions import Fraction
 
-# integers render without the "/1"; denominators are positive and nonzero
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# ASCII digits only; integers render without the "/1"; denominators are positive
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[1-9][0-9]*)?$")
 
 
 def format_rational(value) -> str:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from numbers import Real
+from sys import float_info
 from typing import Optional
 
 import numpy as np
@@ -53,8 +55,9 @@ def _coerce_value(value, mode: str):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise ValueError(f"cannot read exact value {value!r}")
-    if isinstance(value, bool) or isinstance(value, str):
-        raise ValueError("float tensors take numbers")
+    # NaN, infinities and ints beyond the float range all fail the bound
+    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= float_info.max:
+        raise ValueError("float tensors take finite numbers")
     return float(value)
 
 

@@ -284,6 +284,24 @@ class TestAverage:
         assert code == EXIT_PARSE
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "value", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "null"],
+        ids=["NaN", "Infinity", "-Infinity", "1e400", "int-1e400", "null"],
+    )
+    def test_non_finite_float_value_is_a_parse_error(self, capsys, tmp_path, value):
+        # NaN once exited 0 and printed "value": NaN, which is not JSON; a
+        # 400-digit int and null once ended in a traceback
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"rank": 2, "mode": "float", "components": [{"idx": [1, 1], "value": %s}]}' % value,
+            encoding="utf-8",
+        )
+        code = main(["average", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_unreadable_file_is_a_parse_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "average", str(tmp_path / "missing.json"))
         assert code == EXIT_PARSE
@@ -402,9 +420,10 @@ class TestVerify:
         run_json(capsys, "verify", "--suite", "all", "-n", "0..7", "--mc-samples", "2000")
         assert walks == {n: 1 for n in range(8)}
 
-    @pytest.mark.parametrize("ranks", [str(DEFAULT_ENUMERATE_LIMIT + 1), "0..40"])
+    @pytest.mark.parametrize("ranks", [str(DEFAULT_ENUMERATE_LIMIT + 1), "0..40", "0..100000000000000"])
     def test_rank_ceiling(self, capsys, ranks):
-        # every suite walks all binom(n+8, 8) flats per rank; rank 40 alone has 3.8e8
+        # every suite walks all binom(n+8, 8) flats per rank; rank 40 alone has 3.8e8,
+        # and the last range once died building its list of ranks (MemoryError)
         code = main(["verify", "-n", ranks])
         captured = capsys.readouterr()
         assert code == EXIT_LIMIT
@@ -424,6 +443,12 @@ class TestVerify:
         high = run_json(capsys, "verify", "--suite", "mc", "-n", above, "--mc-samples", "2000")
         low = run_json(capsys, "verify", "--suite", "mc", "-n", "0", "--mc-samples", "2000")
         assert high["suites"]["mc"] == low["suites"]["mc"]
+
+    def test_mc_suite_takes_a_huge_rank_range(self, capsys):
+        # the range was once built as a list first, a MemoryError traceback
+        report = run_json(capsys, "verify", "--suite", "mc", "-n", "0..100000000000000", "--mc-samples", "2000")
+        assert report["ranks"] == "0..100000000000000"
+        assert report["pass"] is True
 
     def test_props_suite_runs_at_the_ceiling(self, capsys):
         report = run_json(capsys, "verify", "--suite", "props", "-n", str(DEFAULT_ENUMERATE_LIMIT))
@@ -454,6 +479,28 @@ class TestVerifyGolden:
         assert code == EXIT_OK
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == VERIFY_STDOUT_SHA256[suite, ranks]
+
+
+ENUMERATE_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "enumerate_sha256.json"
+ENUMERATE_FLAGS = {"json": [], "csv": ["--canonical", "--format", "csv"]}
+
+
+class TestEnumerateGolden:
+    """The benchmark's enumerate digests, read and never written here."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return json.loads(ENUMERATE_SHA256.read_text(encoding="utf-8"))
+
+    def test_reference_covers_every_rank_and_format(self, reference):
+        assert set(reference) == {f"{fmt}-{k}" for fmt in ENUMERATE_FLAGS for k in range(13)}
+
+    @pytest.mark.parametrize("fmt", sorted(ENUMERATE_FLAGS))
+    @pytest.mark.parametrize("rank", range(13))
+    def test_stdout_digest(self, capsys, reference, fmt, rank):
+        code, out = run_cli(capsys, "enumerate", "-n", str(rank), *ENUMERATE_FLAGS[fmt])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference[f"{fmt}-{rank}"]
 
 
 def run_failing(capsys, argv):

@@ -20,7 +20,7 @@ def test_round_trip_is_identity(p, q):
     assert parse_rational(format_rational(value)) == value
 
 
-@pytest.mark.parametrize("bad", ["1.5", "a/b", "1/0", "2/-3", "", "1e3"])
+@pytest.mark.parametrize("bad", ["1.5", "a/b", "1/0", "2/-3", "", "1e3", "\u0663/4", "\uff13"])
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -127,6 +127,19 @@ class TestRunVerification:
         assert report["pass"] is False
         assert [run["ranks"] for run in report["runs"]] == ["0..0"]
 
+    @pytest.mark.parametrize("text", ["1_0", "+3", " 3", "\u0663"])
+    @pytest.mark.parametrize("flag", ["--max-rank", "--props-max-rank", "--mc-samples", "--seed"])
+    def test_integer_flags_take_ascii_digits_only(self, monkeypatch, capsys, flag, text):
+        # int() reads all four, so "--props-max-rank 1_0" once ran props ranks 1..10
+        def no_run(argv):
+            raise AssertionError(f"rotavg ran {argv} with {flag} {text!r}")
+
+        monkeypatch.setattr("rotavg.cli.main", no_run)
+        with pytest.raises(SystemExit) as exc:
+            run_script(monkeypatch, "run_verification", flag, text)
+        assert exc.value.code == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
     def test_negative_max_rank_is_a_parse_error(self, monkeypatch, capsys):
         # once reported "ok": true after checking nothing
         code = run_script(monkeypatch, "run_verification", "--max-rank", "-1")

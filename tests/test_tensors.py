@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -143,6 +144,15 @@ class TestDenseTensor:
     def test_float_mode_rejects_strings(self):
         with pytest.raises(ValueError):
             DenseTensor(rank=1, mode="float", components={(1,): "1/2"})
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400, None, [1.0]],
+        ids=["nan", "inf", "-inf", "int-1e400", "None", "list"],
+    )
+    def test_float_mode_rejects_non_finite_values(self, value):
+        # NaN was once accepted and averaged into a "value": NaN that is not JSON
+        with pytest.raises(ValueError):
+            DenseTensor(rank=1, mode="float", components={(1,): value})
 
     def test_json_round_trip_exact(self):
         t = DenseTensor(rank=2, components={(1, 1): Fraction(1, 3), (2, 3): -2})
