@@ -3,8 +3,9 @@
 
 Each file holds the output of ``rotavg enumerate -n K``: per matrix its rank
 and exact value as "p/q", a lookup table for response-tensor calculations.
-Exit codes are rotavg's: 0 success, 2 bad --ranks, 3 a rank above
-enumerate's ceiling; a rank that fails leaves no file behind.
+Exit codes are rotavg's: 0 success, 2 bad --ranks or an --outdir that
+cannot be written, 3 a rank above enumerate's ceiling; a rank that fails
+leaves no file behind.
 
 Usage:
     python scripts/export_rank_tables.py --ranks 0..6 --outdir tables [--nonzero]
@@ -35,11 +36,16 @@ def main() -> int:
     flags = ["--nonzero"] * args.nonzero + ["--canonical"] * args.canonical
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for n in ranks:
         t0 = time.perf_counter()
         path = outdir / f"rank{n:02d}.jsonl"
-        with path.open("w", encoding="utf-8") as handle, contextlib.redirect_stdout(handle):
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            handle = path.open("w", encoding="utf-8")
+        except OSError as exc:  # a file in the way, or no permission
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        with handle, contextlib.redirect_stdout(handle):
             code = rotavg(["enumerate", "-n", str(n), *flags])
         if code:
             path.unlink()

@@ -6,7 +6,8 @@ when P > M.  The report is {"pass": bool, "runs": [<rotavg verify report>,
 ...]}; the exit code is the highest of the runs: 0 pass, 1 a check failed,
 2 a bad rank range, 3 a rank above verify's ceiling (13).  An integer flag
 takes ASCII digits with an optional minus sign, as rotavg's own do; any
-other value exits 2 before any run, with no report.
+other value, or an --out that cannot be opened for writing, exits 2
+before any run, with no report.
 
 Usage:
     python scripts/run_verification.py [--max-rank 8] [--props-max-rank 13]
@@ -40,24 +41,25 @@ def main() -> int:
         props = f"{args.max_rank + 1}..{args.props_max_rank}"
         commands.append(["verify", "--suite", "props", "-n", props])
 
-    runs, worst = [], 0
-    for argv in commands:
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink):
-            code = rotavg(argv)
-        worst = max(worst, code)
-        if code in (EXIT_PARSE, EXIT_LIMIT):
-            break
-        runs.append(json.loads(sink.getvalue()))
-    report = {"pass": worst == 0, "runs": runs}
-
-    payload = json.dumps(report, indent=2)
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:  # before the battery runs, not after
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    with out as handle:
+        runs, worst = [], 0
+        for argv in commands:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                code = rotavg(argv)
+            worst = max(worst, code)
+            if code in (EXIT_PARSE, EXIT_LIMIT):
+                break
+            runs.append(json.loads(sink.getvalue()))
+        report = {"pass": worst == 0, "runs": runs}
+        print(json.dumps(report, indent=2), file=handle)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
         print(f"wrote {args.out} (pass={report['pass']})")
-    else:
-        print(payload)
     return worst
 
 

@@ -258,27 +258,25 @@ class CanonicalForm:
 
 
 def canonical_flat(flat: Flat) -> tuple[Flat, int]:
-    """Lexicographic orbit minimum of a flat matrix plus the relating sign."""
-    best = None
-    has_plus = has_minus = False
+    """Lexicographic orbit minimum of a flat matrix plus the relating sign.
+
+    The sign follows :func:`orbit_signs`: that of the operations reaching the
+    minimum, 0 where opposite-signed ones meet, and +1 throughout at even rank.
+    """
+    # one pass with no dict: this is evaluate's hit path, where
+    # min(orbit_signs(flat)) measured about 40% slower
+    best, sign = flat, 1  # the identity's image
     for src, sgn in _FLAT_OPS:
         img = (
             flat[src[0]], flat[src[1]], flat[src[2]],
             flat[src[3]], flat[src[4]], flat[src[5]],
             flat[src[6]], flat[src[7]], flat[src[8]],
         )
-        if best is None or img < best:
-            best = img
-            has_plus = sgn > 0
-            has_minus = sgn < 0
-        elif img == best:
-            has_plus = has_plus or sgn > 0
-            has_minus = has_minus or sgn < 0
-    if sum(flat) % 2 == 0:
-        return best, 1
-    if has_plus and has_minus:
-        return best, 0
-    return best, 1 if has_plus else -1
+        if img < best:
+            best, sign = img, sgn
+        elif img == best and sgn != sign:
+            sign = 0
+    return best, sign if sum(flat) & 1 else 1
 
 
 def is_orbit_minimum(flat: Flat) -> bool:

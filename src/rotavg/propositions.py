@@ -65,14 +65,9 @@ def enumerate_power_matrices(n: int) -> Iterator[PowerMatrix]:
         yield PowerMatrix._trusted(flat)
 
 
-def _representatives(n: int) -> Iterator[Flat]:
-    """The orbit-minimal flats of rank n, in lexicographic order."""
-    return filter(is_orbit_minimum, _compositions(n, 9))
-
-
 def canonical_representatives(n: int) -> list[PowerMatrix]:
     """The orbit-minimal matrices of rank n, in lexicographic order."""
-    return [PowerMatrix._trusted(flat) for flat in _representatives(n)]
+    return [PowerMatrix._trusted(flat) for flat in filter(is_orbit_minimum, _compositions(n, 9))]
 
 
 @dataclass
@@ -227,23 +222,19 @@ def rank_table(
     Values match :func:`rotavg.evaluator.evaluate` exactly, which runs once
     per selection-passing orbit.  The walk meets each orbit first at its
     minimum; it evaluates there and holds the signed value of every image
-    still ahead, popping each when the walk reaches it.  Rows of one orbit
-    share value objects.  ``threads`` is accepted for compatibility and
-    ignored.
+    still ahead, popping each when the walk reaches it.  ``canonical_only``
+    keeps only the minima.  Rows of one orbit share value objects.
+    ``threads`` is accepted for compatibility and ignored.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
     cache = cache if cache is not None else ValueCache()
-    if canonical_only:
-        for rep in _representatives(n):
-            chi = PowerMatrix._trusted(rep)
-            value = evaluate(chi, cache)
-            if not nonzero or value:
-                yield chi, value
-        return
     ahead: dict[Flat, Fraction] = {}
     for flat in _compositions(n, 9):
         value = ahead.pop(flat, None)
+        # an image held in ahead follows its orbit's minimum, so it is no minimum
+        if canonical_only and (value is not None or not is_orbit_minimum(flat)):
+            continue
         if value is None and _selection_flat(flat):
             signs = orbit_signs(flat)
             exact = evaluate(PowerMatrix._trusted(flat), cache)

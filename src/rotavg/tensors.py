@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import isfinite, lcm
 from numbers import Real
 from sys import float_info
 from typing import Optional
@@ -216,13 +216,18 @@ class _PairKernel:
         # added in flat order: the order of a per-group Python sum
         codes, inverse = np.unique(codes, return_inverse=True)
         partials = np.zeros(len(codes), dtype=self.values.dtype)
-        np.add.at(partials, inverse, self.values)
+        with np.errstate(over="ignore"):  # an overflow is reported below, naming the lab index
+            np.add.at(partials, inverse, self.values)
         total = Fraction(0) if self.exact else 0.0
         for code, partial in zip(codes.tolist(), partials.tolist()):
             weight = self._weight(code)
             if weight:
                 total += weight * partial
-        return total / self.denominator if self.exact else total
+        if self.exact:
+            return total / self.denominator
+        if not isfinite(total):
+            raise ValueError(f"float overflow in the average at lab index {list(lab)}")
+        return total
 
 
 def average_component(lab_idx, tensor: DenseTensor, cache: Optional[ValueCache] = None):

@@ -32,6 +32,32 @@ SELECTION_PASSING_6 = _selection_passing(6)
 selection_passing = st.sampled_from(SELECTION_PASSING_6)
 
 
+@st.composite
+def selection_passing_past_rank8(draw, upper=None):
+    """Selection-passing matrices of rank 9-16, optionally with a fixed (Q, R, T, U).
+
+    Every row and column sum has the rank's parity p exactly when the matrix
+    is a 0/1 pattern with those sums plus twice a nonnegative matrix.  The
+    pattern follows from p and its upper-left 2x2 block, so nothing is
+    drawn only to be rejected.  With ``upper`` given, those four entries
+    stay as given and the doubled part fills the other five cells.
+    """
+    p = draw(st.integers(0, 1))
+    if upper is None:
+        Q, R, T, U = (draw(st.integers(0, 1)) for _ in range(4))
+        free = range(9)
+    else:
+        Q, R, T, U = upper
+        free = (2, 5, 6, 7, 8)
+    W, X = (p - Q - T) % 2, (p - R - U) % 2
+    flat = [Q, R, (p - Q - R) % 2, T, U, (p - T - U) % 2, W, X, (p - W - X) % 2]
+    n = draw(st.sampled_from(range(10 - p, 17, 2)))
+    size = (n - sum(flat)) // 2
+    for cell in draw(st.lists(st.sampled_from(free), min_size=size, max_size=size)):
+        flat[cell] += 2
+    return PowerMatrix.from_flat(flat)
+
+
 @pytest.fixture(scope="session")
 def cache():
     """One evaluator cache shared across the whole test session."""

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -302,6 +303,24 @@ class TestAverage:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_float_overflow_is_a_parse_error(self, capsys, tmp_path):
+        # each component is finite but their sums overflow: numpy once printed a
+        # RuntimeWarning and the error blamed the input for the inf it made
+        components = [{"idx": list(idx), "value": 1.7e308} for idx in itertools.product((1, 2, 3), repeat=4)]
+        path = write_tensor(tmp_path, "big.json", {"rank": 4, "mode": "float", "components": components})
+        code = main(["average", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == "error: float overflow in the average at lab index [1, 1, 1, 1]\n"
+
+    def test_largest_floats_average_when_no_sum_overflows(self, capsys, tmp_path):
+        components = [{"idx": [i, i], "value": 1.7e308} for i in (1, 2, 3)]
+        path = write_tensor(tmp_path, "diag.json", {"rank": 2, "mode": "float", "components": components})
+        record = run_json(capsys, "average", path, "--nonzero-only")
+        assert [c["idx"] for c in record["components"]] == [[1, 1], [2, 2], [3, 3]]
+        assert all(math.isfinite(c["value"]) for c in record["components"])
+
     def test_unreadable_file_is_a_parse_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "average", str(tmp_path / "missing.json"))
         assert code == EXIT_PARSE
@@ -410,13 +429,13 @@ class TestVerify:
     def test_each_rank_is_walked_once(self, capsys, monkeypatch):
         # the oracle, beta and props suites share one walk of each rank's orbit minima
         walks = collections.Counter()
-        representatives = rotavg.propositions._representatives
+        walk = rotavg.cli.rank_table
 
-        def counted(n):
+        def counted(n, *args, **kwargs):
             walks[n] += 1
-            return representatives(n)
+            return walk(n, *args, **kwargs)
 
-        monkeypatch.setattr(rotavg.propositions, "_representatives", counted)
+        monkeypatch.setattr(rotavg.cli, "rank_table", counted)
         run_json(capsys, "verify", "--suite", "all", "-n", "0..7", "--mc-samples", "2000")
         assert walks == {n: 1 for n in range(8)}
 
@@ -485,6 +504,64 @@ ENUMERATE_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "enumerat
 ENUMERATE_FLAGS = {"json": [], "csv": ["--canonical", "--format", "csv"]}
 
 
+# the json digests above cover no filter, so a filter that drops or keeps the
+# wrong rows shows only here: rank -> (--nonzero, --canonical --nonzero)
+ENUMERATE_NONZERO_SHA256 = {
+    0: (
+        "fc4cfb9732c218889f00d5a38cbe645ea59a06b4edfebe9d1b8ea2d097b4391f",
+        "fc4cfb9732c218889f00d5a38cbe645ea59a06b4edfebe9d1b8ea2d097b4391f",
+    ),
+    1: (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    2: (
+        "430f8d834368beb18e19cc201002364108d2c2ec6b8ff64a56020b8b2118de8a",
+        "b35181a1846226c605435a5140366d52860ccafba3fd47bec937dbb06b7c3e21",
+    ),
+    3: (
+        "8834832a521a6689075e6d273b76eaa585eade33cdcacef6b2711a3b43635a5c",
+        "b4dff41af63570ff3a4586879fe1f5837582dfe8e097f0bb746618ce22656aec",
+    ),
+    4: (
+        "897a5587fc1dd7eb7b4175ed1f980ca0ac85d5b7ea96b8d108f508e8e0fc3ed8",
+        "05871540c26d2f257d8163d17b718a40896115a8fb5a0d1ff16e9b00375e6115",
+    ),
+    5: (
+        "3a166b60f3f4f55a949fb026cb6058d00f3fe37feb078e83b3680a301db15409",
+        "8d900fb43131b32c5a73116b3f70883a6ef07a3301252affd4569444ca1d67c8",
+    ),
+    6: (
+        "43d662d1ff1a06490a6b2d98559784fac2fbdee09d1bca319531efbe5ad3bb84",
+        "c9771477e1082d2a5b17ff9f7f45e36d4112bbcfd35393c46a57122c355603dc",
+    ),
+    7: (
+        "0ee40ec99eb027a7e1f21b099295523fc4a0e3e6714c7465a2c2629199219d42",
+        "0deafe9e360cf11a2e4c05cfe3b8b575b327e30f34d5c1f1075503cc912391fa",
+    ),
+    8: (
+        "15ee0b3fc80effc8c63d831bf1ea1341376158771214ffb1d740547df5e7f021",
+        "d19ad1f950a92f6ac16aeca3e9409a6f3840bbc78e0a6ffc1b6099186118ac67",
+    ),
+    9: (
+        "b63719129cc9c44b9c5145cc1c552b3218fd346ac060a25960869347f549b947",
+        "812ff5d0656b1ffd69d361adb15d7eac9228f2e9bc36bfc2379c94e5e41a7b9a",
+    ),
+    10: (
+        "64d7e598beb4334945907d2701d378c77573168febd2094b5498066ecb1d3916",
+        "9600a4b50b103b8a59373242b4b093bb85745130b38c53380b14dbecf8b484dc",
+    ),
+    11: (
+        "1b16bd4399097bfcbeb5c7847dda8874c9d4a039bd3f131e4076e8eeca6a8f0c",
+        "2d5a821aa6000a763cedf4baeccf5f34c5b7312404b76fc90265a808b9a9dadb",
+    ),
+    12: (
+        "2b3882c6cf62a1ba539a9ded109201defcbf8e03cf626ba586d0c5dbeebe4db3",
+        "837687d50c4f1f5345944b48106a28c2afc74a0b37f9c98f4ba2bd57bf797207",
+    ),
+}
+
+
 class TestEnumerateGolden:
     """The benchmark's enumerate digests, read and never written here."""
 
@@ -501,6 +578,15 @@ class TestEnumerateGolden:
         code, out = run_cli(capsys, "enumerate", "-n", str(rank), *ENUMERATE_FLAGS[fmt])
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference[f"{fmt}-{rank}"]
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    @pytest.mark.parametrize("rank", range(13))
+    def test_nonzero_stdout_digest(self, capsys, canonical, rank):
+        flags = ["--canonical"] * canonical + ["--nonzero"]
+        code, out = run_cli(capsys, "enumerate", "-n", str(rank), *flags)
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == ENUMERATE_NONZERO_SHA256[rank][canonical]
 
 
 def run_failing(capsys, argv):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 import itertools
 
-from conftest import power_matrices, selection_passing, symmetry_ops
+from conftest import power_matrices, selection_passing, selection_passing_past_rank8, symmetry_ops
 from rotavg import (
     PiCancellationError,
     PiRational,
@@ -19,6 +19,7 @@ from rotavg import (
     determinant,
     double_factorial,
     evaluate,
+    quadrature_average,
     selection_rule,
     special_no_upper_block,
     special_q1,
@@ -140,6 +141,33 @@ class TestBetaPath:
     def test_vanishes_whenever_selection_rule_fails(self, chi):
         if not selection_rule(chi):
             assert beta_path(chi).coefficient == 0
+
+
+class TestPastRank8:
+    """closed_form against the independent routes at ranks 9-16, past the exhaustive sweeps."""
+
+    @given(selection_passing_past_rank8())
+    @settings(deadline=None, max_examples=100)
+    def test_beta_path_agrees(self, chi):
+        assert 9 <= chi.rank <= 16 and selection_rule(chi)
+        result = beta_path(chi)
+        assert result.pi_power == 0
+        assert result.coefficient == closed_form(chi)
+
+    @given(selection_passing_past_rank8())
+    @settings(deadline=None, max_examples=100)
+    def test_quadrature_agrees(self, chi):
+        assert abs(quadrature_average(chi) - float(closed_form(chi))) <= 1e-10
+
+    @given(selection_passing_past_rank8(upper=(0, 0, 0, 0)))
+    @settings(deadline=None, max_examples=100)
+    def test_special_no_upper_block_agrees(self, chi):
+        assert special_no_upper_block(chi) == closed_form(chi)
+
+    @given(selection_passing_past_rank8(upper=(1, 0, 0, 0)))
+    @settings(deadline=None, max_examples=100)
+    def test_special_q1_agrees(self, chi):
+        assert special_q1(chi) == closed_form(chi)
 
 
 class TestSpecialNoUpperBlock:

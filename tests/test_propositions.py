@@ -247,9 +247,13 @@ class TestRankTable:
         assert len(rows) == 9
         assert all(value == Fraction(1, 3) for _, value in rows)
 
-    def test_canonical_filter(self):
-        rows = list(rank_table(3, ValueCache(), canonical_only=True))
-        assert [chi for chi, _ in rows] == canonical_representatives(3)
+    def test_canonical_filter(self, cache):
+        # the walk's minima against is_orbit_minimum's, and its values against evaluate
+        for n in range(12):
+            expected = [(chi, evaluate(chi, cache)) for chi in canonical_representatives(n)]
+            for nonzero in (False, True):
+                rows = list(rank_table(n, ValueCache(), nonzero=nonzero, canonical_only=True))
+                assert rows == [(chi, value) for chi, value in expected if not nonzero or value]
 
     def test_thread_count_does_not_change_rows(self):
         single = list(rank_table(6, ValueCache(), threads=1))

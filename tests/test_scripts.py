@@ -75,6 +75,19 @@ class TestExportRankTables:
         assert run_script(monkeypatch, "export_rank_tables", *argv) == EXIT_LIMIT
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("outdir", ["taken", "taken/tables"])
+    def test_unwritable_outdir_is_a_parse_error(self, monkeypatch, capsys, tmp_path, outdir):
+        # a file at or above --outdir once ended in a FileExistsError or
+        # NotADirectoryError traceback
+        (tmp_path / "taken").write_text("keep", encoding="utf-8")
+        argv = ["--ranks", "0..2", "--outdir", str(tmp_path / outdir)]
+        assert run_script(monkeypatch, "export_rank_tables", *argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
+        assert (tmp_path / "taken").read_text(encoding="utf-8") == "keep"
+
 
 class TestRunVerification:
     def test_report_enforces_exceptions_and_prime_ranks(self, monkeypatch, tmp_path):
@@ -145,3 +158,16 @@ class TestRunVerification:
         code = run_script(monkeypatch, "run_verification", "--max-rank", "-1")
         assert code == EXIT_PARSE
         assert json.loads(capsys.readouterr().out) == {"pass": False, "runs": []}
+
+    def test_unwritable_out_is_a_parse_error_before_any_run(self, monkeypatch, capsys, tmp_path):
+        # a missing directory once ended in a FileNotFoundError traceback after the whole battery
+        def no_run(argv):
+            raise AssertionError(f"rotavg ran {argv}")
+
+        monkeypatch.setattr("rotavg.cli.main", no_run)
+        out = tmp_path / "missing" / "report.json"
+        assert run_script(monkeypatch, "run_verification", "--out", str(out)) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.parent.exists()

@@ -212,6 +212,12 @@ class TestAverageComponent:
         assert average_component((1, 2, 3), t) == 1
         assert brute_force_component((1, 2, 3), t) == 1
 
+    def test_float_overflow_names_the_lab_index(self):
+        components = dict.fromkeys(itertools.product((1, 2, 3), repeat=4), 1.7e308)
+        t = DenseTensor(rank=4, mode="float", components=components)
+        with pytest.raises(ValueError, match=r"^float overflow .* lab index \[1, 2, 1, 2\]$"):
+            average_component((1, 2, 1, 2), t)
+
     @given(rank2_tensors())
     @settings(deadline=None, max_examples=25)
     def test_grouped_equals_brute_force(self, t):
