@@ -62,11 +62,16 @@ def _cache_from_env() -> ValueCache:
     return ValueCache(limit=int(raw))
 
 
-def _parse_chi(text: str) -> PowerMatrix:
+def _load_json(text: str, what: str):
+    """Decoded JSON text; malformed or too deeply nested text is a ValueError naming what."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"chi is not valid JSON: {exc}") from exc
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _parse_chi(text: str) -> PowerMatrix:
+    data = _load_json(text, "chi")
     if not isinstance(data, list):
         raise ValueError("chi must be a JSON array of 3 arrays of 3 integers")
     return PowerMatrix.from_rows(data)
@@ -117,7 +122,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_average(args) -> int:
     with open(args.tensor_file, "r", encoding="utf-8") as handle:
-        tensor = DenseTensor.from_json_obj(json.load(handle))
+        tensor = DenseTensor.from_json_obj(_load_json(handle.read(), "tensor file"))
     averaged = average_tensor(tensor, max_rank=args.max_rank, cache=_cache_from_env())
     payload = json.dumps(averaged.to_json_obj(nonzero_only=args.nonzero_only), indent=2)
     if args.out:
@@ -351,7 +356,7 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (ValueError, OSError) as exc:  # JSONDecodeError and RankLimitError are ValueErrors
+    except (ValueError, OSError) as exc:  # RankLimitError and UnicodeDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT if isinstance(exc, RankLimitError) else EXIT_PARSE
 

@@ -20,6 +20,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 from .power_matrix import (
     Flat,
     PowerMatrix,
+    _strict_int,
     canonical_flat,
     selection_rule,
 )
@@ -344,10 +345,8 @@ class ValueCache:
     """
 
     def __init__(self, limit: Optional[int] = None):
-        if limit is not None and limit < 0:
-            raise ValueError("cache limit must be nonnegative")
         self._data: dict[Flat, Fraction] = {}
-        self.limit = limit
+        self.limit = None if limit is None else _strict_int(limit, "cache limit", 0)
 
     def get(self, key: Flat) -> Optional[Fraction]:
         return self._data.get(key)
@@ -385,6 +384,6 @@ def evaluate(chi: PowerMatrix, cache: Optional[ValueCache] = None) -> Fraction:
         return Fraction(0)
     value = cache.get(rep)
     if value is None:
-        value = closed_form(PowerMatrix.from_flat(rep))
+        value = closed_form(PowerMatrix._trusted(rep))
         cache.put(rep, value)
     return -value if sign < 0 else value

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .power_matrix import PowerMatrix
+from .power_matrix import PowerMatrix, _strict_int
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,9 @@ class QuadratureSpec:
     gamma_points: int
 
     def __post_init__(self):
-        if min(self.alpha_points, self.beta_points, self.gamma_points) < 1:
-            raise ValueError("every direction needs at least one quadrature point")
+        # every direction needs at least one point
+        for name in ("alpha_points", "beta_points", "gamma_points"):
+            object.__setattr__(self, name, _strict_int(getattr(self, name), name, 1))
 
     @classmethod
     def for_rank(cls, n: int) -> "QuadratureSpec":
@@ -57,6 +58,7 @@ class QuadratureSpec:
         return cls(k, k, k)
 
     def refined(self, factor: int = 2) -> "QuadratureSpec":
+        factor = _strict_int(factor, "refinement factor", 1)
         return QuadratureSpec(
             self.alpha_points * factor, self.beta_points * factor, self.gamma_points * factor
         )
@@ -185,9 +187,10 @@ def monte_carlo_average(chi: PowerMatrix, samples: int, seed: int) -> tuple[floa
     rotation measure up to normalization.  The PCG64 stream and the fixed
     chunking scheme make the result a deterministic function of the seed.
     """
+    samples = _strict_int(samples, "samples")
     if samples < 2:
         raise ValueError(f"need at least two samples for a standard error, got {samples}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_strict_int(seed, "seed", 0))
     flat = chi.flat
     total = 0.0
     total_sq = 0.0

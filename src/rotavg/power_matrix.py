@@ -13,34 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Rows = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 Flat = tuple[int, ...]
 Perm = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerMatrix:
-    """3x3 matrix of nonnegative integer exponents, row-major."""
+    """3x3 matrix of nonnegative integer exponents, stored as its row-major 9-tuple."""
 
-    rows: Rows
+    flat: Flat
 
-    def __post_init__(self):
-        try:
-            rows = tuple(tuple(row) for row in self.rows)
-        except TypeError:
-            raise ValueError("power matrix must be 3x3") from None
+    def __init__(self, rows: Iterable[Iterable[int]]):
+        rows = [_as_tuple(row, "power matrix row") for row in _as_tuple(rows, "power matrix")]
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("power matrix must be 3x3")
-        flat = rows[0] + rows[1] + rows[2]
-        if not all(type(e) is int and e >= 0 for e in flat):
-            flat = tuple(_strict_int(e, "power matrix entry") for e in flat)
-            if any(e < 0 for e in flat):
-                raise ValueError("power matrix entries must be nonnegative")
-            rows = (flat[0:3], flat[3:6], flat[6:9])
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_flat", flat)
+        flat = tuple(_strict_int(e, "power matrix entry", 0) for row in rows for e in row)
+        object.__setattr__(self, "flat", flat)
 
     @classmethod
     def _trusted(cls, flat: Flat) -> "PowerMatrix":
@@ -50,31 +41,30 @@ class PowerMatrix:
         goes through the validating constructor.
         """
         chi = object.__new__(cls)
-        state = chi.__dict__
-        state["rows"] = (flat[0:3], flat[3:6], flat[6:9])
-        state["_flat"] = flat
+        chi.__dict__["flat"] = flat
         return chi
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "PowerMatrix":
-        return cls(tuple(rows))
+        return cls(rows)
 
     @classmethod
     def from_flat(cls, flat: Sequence[int]) -> "PowerMatrix":
-        flat = tuple(flat)
+        flat = _as_tuple(flat, "flat power matrix")
         if len(flat) != 9:
             raise ValueError("flat power matrix needs exactly 9 entries")
         return cls((flat[0:3], flat[3:6], flat[6:9]))
 
     @property
-    def flat(self) -> Flat:
-        """Row-major 9-tuple of the entries."""
-        return self._flat
+    def rows(self) -> Rows:
+        """The three rows, sliced from flat."""
+        flat = self.flat
+        return (flat[0:3], flat[3:6], flat[6:9])
 
     @property
     def rank(self) -> int:
         """Total number of direction-cosine factors (sum of all entries)."""
-        return sum(self._flat)
+        return sum(self.flat)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -83,13 +73,38 @@ class PowerMatrix:
         return "[" + ", ".join(str(list(row)) for row in self.rows) + "]"
 
 
-def _strict_int(value, what: str) -> int:
-    """value as an int; int() alone would truncate 1.7 and accept True or "1"."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    return int(value)
+def _as_tuple(values, what: str) -> tuple:
+    """tuple(values); a ValueError naming what if values is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, not {values!r}") from None
+
+
+def _strict_int(value, what: str, minimum: Optional[int] = None) -> int:
+    """value as an int no smaller than minimum.
+
+    int() alone would truncate 1.7 and accept True or "1".
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{what} must be an integer, not {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, not {value}")
+    return value
+
+
+def _axes(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of one-based axes, ints in {1, 2, 3}; what names values in errors."""
+    # one pass, not _as_tuple then a second tuple: this runs per tensor component
+    try:
+        axes = tuple(_strict_int(i, what) for i in values)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, not {values!r}") from None
+    if any(i not in (1, 2, 3) for i in axes):
+        raise ValueError(f"{what} {axes} has an axis outside {{1, 2, 3}}")
+    return axes
 
 
 @dataclass(frozen=True)
@@ -100,12 +115,10 @@ class MultiIndex:
     mol: tuple[int, ...]
 
     def __post_init__(self):
-        lab = tuple(_strict_int(i, "axis index") for i in self.lab)
-        mol = tuple(_strict_int(i, "axis index") for i in self.mol)
+        lab = _axes(self.lab, "lab index")
+        mol = _axes(self.mol, "molecular index")
         if len(lab) != len(mol):
             raise ValueError("lab and molecular index lists must have equal length")
-        if any(i not in (1, 2, 3) for i in lab + mol):
-            raise ValueError("indices must lie in {1, 2, 3}")
         object.__setattr__(self, "lab", lab)
         object.__setattr__(self, "mol", mol)
 
@@ -325,7 +338,7 @@ def canonicalize(chi: PowerMatrix) -> CanonicalForm:
     yield sign 0, which downstream short-circuits the value to 0.
     """
     rep, sign = canonical_flat(chi.flat)
-    return CanonicalForm(PowerMatrix.from_flat(rep), sign)
+    return CanonicalForm(PowerMatrix._trusted(rep), sign)
 
 
 def orbit(chi: PowerMatrix) -> list[PowerMatrix]:

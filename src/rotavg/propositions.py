@@ -22,6 +22,7 @@ from .power_matrix import (
     PowerMatrix,
     _det_flat,
     _selection_flat,
+    _strict_int,
     determinant,
     is_orbit_minimum,
     orbit_signs,
@@ -39,9 +40,7 @@ RANK9_EXCEPTION = PowerMatrix(((1, 1, 1), (1, 2, 0), (1, 0, 2)))
 
 def enumeration_count(n: int) -> int:
     """Number of 3x3 nonnegative integer matrices with entry sum n."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    return comb(n + 8, 8)
+    return comb(_strict_int(n, "rank", 0) + 8, 8)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -50,8 +49,9 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     Stars and bars: the running sums before each of the last parts-1 parts
     form a nondecreasing sequence of cuts in 0..total, and the cuts come
     out of combinations_with_replacement in the order that makes the parts
-    lexicographic.
+    lexicographic.  total is a rank, so it must be a nonnegative int.
     """
+    total = _strict_int(total, "rank", 0)
     head, tail = (0,), (total,)
     for cuts in combinations_with_replacement(range(total + 1), parts - 1):
         yield tuple(map(sub, cuts + tail, head + cuts))
@@ -59,8 +59,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_power_matrices(n: int) -> Iterator[PowerMatrix]:
     """All rank-n exponent matrices exactly once, in lexicographic flat order."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
     for flat in _compositions(n, 9):
         yield PowerMatrix._trusted(flat)
 
@@ -226,8 +224,6 @@ def rank_table(
     keeps only the minima.  Rows of one orbit share value objects.
     ``threads`` is accepted for compatibility and ignored.
     """
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
     cache = cache if cache is not None else ValueCache()
     ahead: dict[Flat, Fraction] = {}
     for flat in _compositions(n, 9):

@@ -13,6 +13,7 @@ values from call to call.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .evaluator import ValueCache, evaluate
-from .power_matrix import PowerMatrix, _pair_flat, _strict_int
+from .power_matrix import PowerMatrix, _axes, _pair_flat, _strict_int
 from .rationals import format_rational, parse_rational
 
 IndexTuple = tuple[int, ...]
@@ -63,11 +64,8 @@ def _coerce_value(value, mode: str):
 
 def _index_tuple(idx, rank: int) -> IndexTuple:
     """A component's index as a tuple of ints in {1, 2, 3}, one per tensor slot."""
-    try:
-        idx = tuple(_strict_int(i, "tensor index") for i in idx)
-    except TypeError:
-        raise ValueError(f"bad index tuple {idx!r}") from None
-    if len(idx) != rank or any(i not in (1, 2, 3) for i in idx):
+    idx = _axes(idx, "tensor index")
+    if len(idx) != rank:
         raise ValueError(f"bad index tuple {idx} for rank {rank}")
     return idx
 
@@ -81,11 +79,11 @@ class DenseTensor:
     components: dict[IndexTuple, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.rank = _strict_int(self.rank, "tensor rank")
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
+        self.rank = _strict_int(self.rank, "tensor rank", 0)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if not isinstance(self.components, Mapping):
+            raise ValueError("components must map index tuples to values")
         cleaned = {}
         for idx, value in self.components.items():
             idx = _index_tuple(idx, self.rank)

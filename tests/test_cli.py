@@ -65,6 +65,10 @@ class TestCompute:
     def test_malformed_chi(self, capsys):
         code, _ = run_cli(capsys, "compute", "--chi", "[[1,0")
         assert code == EXIT_PARSE
+        # JSON nested this deep once ended in a RecursionError traceback and exit 1
+        code, out = run_cli(capsys, "compute", "--chi", "[" * 2000 + "]" * 2000)
+        assert code == EXIT_PARSE
+        assert out == ""
 
     def test_negative_entries_rejected(self, capsys):
         code, _ = run_cli(capsys, "compute", "--chi", "[[-1,0,0],[0,1,0],[0,0,1]]")
@@ -284,6 +288,20 @@ class TestAverage:
         code, out = run_cli(capsys, "average", write_tensor(tmp_path, "bad.json", obj))
         assert code == EXIT_PARSE
         assert out == ""
+
+    def test_deeply_nested_json_is_a_parse_error(self, capsys, tmp_path):
+        # this once ended in a RecursionError traceback and exit 1
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"rank": 1, "mode": "exact", "components": %s}' % ("[" * 3000 + "]" * 3000),
+            encoding="utf-8",
+        )
+        code = main(["average", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "value", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "null"],

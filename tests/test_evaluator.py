@@ -258,6 +258,12 @@ class TestEvaluate:
     def test_returns_exact_rationals(self):
         assert isinstance(evaluate(PowerMatrix(((0, 0, 0), (0, 0, 2), (0, 2, 0)))), Fraction)
 
+    @pytest.mark.parametrize("limit", [2.5, True, "3"])
+    def test_cache_limit_must_be_an_integer(self, limit):
+        # 2.5 once kept 3 entries
+        with pytest.raises(ValueError):
+            ValueCache(limit=limit)
+
     def test_cache_limit_does_not_change_values(self):
         capped = ValueCache(limit=0)
         chi = PowerMatrix(((0, 0, 0), (0, 0, 2), (0, 2, 0)))

@@ -99,6 +99,18 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureSpec(0, 4, 4)
 
+    @pytest.mark.parametrize("counts", [(2.5, 4, 4), (True, 4, 4), (4, 4.0, 4), (4, 4, "4")])
+    def test_spec_needs_integer_point_counts(self, counts):
+        # 2.5 and True once constructed and failed later inside numpy
+        with pytest.raises(ValueError):
+            QuadratureSpec(*counts)
+
+    @pytest.mark.parametrize("factor", [1.5, 2.0, True])
+    def test_refinement_factor_must_be_an_integer(self, factor):
+        # 1.5 once built a spec of float point counts
+        with pytest.raises(ValueError):
+            QuadratureSpec(4, 4, 4).refined(factor)
+
 
 class TestMonteCarlo:
     def test_empty_product_is_exact(self):
@@ -130,6 +142,11 @@ class TestMonteCarlo:
         # one sample has no standard error; it was once reported as 0.0
         with pytest.raises(ValueError):
             monte_carlo_average(ZERO, 1, seed=1)
+
+    @pytest.mark.parametrize("samples,seed", [(1000.0, 1), ("1000", 1), (1000, 1.5), (1000, True)])
+    def test_rejects_non_integer_samples_or_seed(self, samples, seed):
+        with pytest.raises(ValueError):
+            monte_carlo_average(ZERO, samples, seed)
 
 
 class TestInvarianceProbe:

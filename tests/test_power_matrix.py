@@ -32,6 +32,13 @@ class TestPowerMatrix:
             PowerMatrix.from_rows([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
             PowerMatrix.from_flat((1, 2, 3))
+        # a non-iterable once raised TypeError from from_rows and from_flat
+        with pytest.raises(ValueError):
+            PowerMatrix(5)
+        with pytest.raises(ValueError):
+            PowerMatrix.from_rows(5)
+        with pytest.raises(ValueError):
+            PowerMatrix.from_flat(5)
 
     @pytest.mark.parametrize("entry", [1.0, 1.7, True, "1", None])
     def test_rejects_non_integer_entries(self, entry):
@@ -42,6 +49,14 @@ class TestPowerMatrix:
         chi = PowerMatrix(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
         assert chi.flat == (1, 2, 3, 4, 5, 6, 7, 8, 9)
         assert chi.rank == 45
+
+    def test_trusted_matches_validated(self):
+        flat = (1, 2, 3, 4, 5, 6, 7, 8, 9)
+        validated, trusted = PowerMatrix.from_flat(flat), PowerMatrix._trusted(flat)
+        assert validated == trusted
+        assert hash(validated) == hash(trusted)
+        assert validated.rows == trusted.rows == ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+        assert PowerMatrix(rows=trusted.rows) == trusted
 
     def test_json_round_trip(self):
         chi = PowerMatrix(((0, 0, 0), (1, 1, 2), (1, 1, 2)))
@@ -67,6 +82,10 @@ class TestMultiIndex:
     def test_index_range(self):
         with pytest.raises(ValueError):
             MultiIndex((4,), (1,))
+        # axis lists that are not sequences once raised TypeError
+        for lab, mol in [(5, (1,)), (None, None), ((1,), 1)]:
+            with pytest.raises(ValueError):
+                MultiIndex(lab, mol)
 
     @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=12))
     def test_rank_matches_length(self, pairs):

@@ -44,6 +44,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_power_matrices(-1))
 
+    @pytest.mark.parametrize("n", [True, 1.0, 2.5, "1"])
+    def test_rejects_non_integer_rank(self, n):
+        # True once counted and walked rank 1
+        with pytest.raises(ValueError):
+            enumeration_count(n)
+        with pytest.raises(ValueError):
+            list(enumerate_power_matrices(n))
+        with pytest.raises(ValueError):
+            list(rank_table(n))
+        with pytest.raises(ValueError):
+            canonical_representatives(n)
+
     def test_lexicographic_order_and_uniqueness(self):
         flats = [chi.flat for chi in enumerate_power_matrices(3)]
         assert flats == sorted(flats)
@@ -131,6 +143,11 @@ class TestOddRule:
     def test_rejects_even_rank(self):
         with pytest.raises(ValueError):
             verify_odd_rule(4)
+
+    def test_rejects_bool_rank(self):
+        # True once walked rank 1 and reported "rank": true
+        with pytest.raises(ValueError):
+            verify_odd_rule(True)
 
     def test_prime_rank7_nonvanishing(self, cache):
         report = verify_prime_nonvanishing(7, cache)

@@ -136,6 +136,11 @@ class TestDenseTensor:
             DenseTensor(rank=2, components={(1, 4): 1})
         with pytest.raises(ValueError):
             DenseTensor(rank=2, components={(1,): 1})
+        with pytest.raises(ValueError):
+            DenseTensor(rank=1, components={5: 1})
+        # a list of components once raised AttributeError
+        with pytest.raises(ValueError):
+            DenseTensor(rank=1, components=[1])
 
     def test_exact_mode_rejects_floats(self):
         with pytest.raises(ValueError):
