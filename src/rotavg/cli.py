@@ -180,7 +180,7 @@ def _parse_rank_range(text: str) -> range:
     raise ValueError(f"bad rank range {text!r}; expected N or N..M")
 
 
-def _suite_oracle(rows) -> dict:
+def _suite_oracle(rows, args, cache) -> dict:
     worst = 0.0
     worst_chi = None
     checked = 0
@@ -200,7 +200,7 @@ def _suite_oracle(rows) -> dict:
     }
 
 
-def _suite_beta(rows) -> dict:
+def _suite_beta(rows, args, cache) -> dict:
     checked = 0
     failures = []
     for rank_rows in rows.values():
@@ -212,11 +212,10 @@ def _suite_beta(rows) -> dict:
     return {"checked": checked, "failures": failures, "pass": not failures}
 
 
-def _suite_props(rows) -> dict:
+def _suite_props(rows, args, cache) -> dict:
     # read at call time, so a patched exception is the one enforced
     exceptions = {8: RANK8_EXCEPTION, 9: RANK9_EXCEPTION}
     per_rank = []
-    ok = True
     for n, rank_rows in rows.items():
         report, prime_report, converse = _rank_checks(n, rank_rows)
         # the simple rules hold outright at every rank verify accepts but 8 and 9
@@ -229,12 +228,11 @@ def _suite_props(rows) -> dict:
             entry["prime_nonvanishing"]["pass"] = prime_report.verdict == "holds"
             entry["pass"] = entry["pass"] and prime_report.verdict == "holds"
             entry["converse_witnesses"] = [chi.to_lists() for chi in converse]
-        ok = ok and entry["pass"]
         per_rank.append(entry)
-    return {"ranks": per_rank, "pass": ok}
+    return {"ranks": per_rank, "pass": all(entry["pass"] for entry in per_rank)}
 
 
-def _suite_mc(args, cache) -> dict:
+def _suite_mc(rows, args, cache) -> dict:
     battery = default_mc_battery()
     results = []
     covered = 0
@@ -262,9 +260,14 @@ def _suite_mc(args, cache) -> dict:
     }
 
 
+# every suite by name, in the order `--suite all` runs and reports them; each
+# takes the walked rows, the parsed arguments and the cache, reading what it needs
+SUITES = {"oracle": _suite_oracle, "beta": _suite_beta, "props": _suite_props, "mc": _suite_mc}
+
+
 def _cmd_verify(args) -> int:
     ranks = _parse_rank_range(args.ranks)
-    suites = ["oracle", "beta", "props", "mc"] if args.suite == "all" else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     if "mc" in suites and args.mc_samples < 2:
         raise ValueError(f"--mc-samples needs at least two samples, got {args.mc_samples}")
     if "mc" in suites and args.seed < 0:
@@ -276,21 +279,9 @@ def _cmd_verify(args) -> int:
         _check_ceiling(walked[-1], DEFAULT_ENUMERATE_LIMIT)
     cache = _cache_from_env()
     rows = {n: list(rank_table(n, cache, canonical_only=True)) for n in walked}
-    report = {"ranks": args.ranks, "suites": {}}
-    ok = True
-    for suite in suites:
-        if suite == "oracle":
-            outcome = _suite_oracle(rows)
-        elif suite == "beta":
-            outcome = _suite_beta(rows)
-        elif suite == "props":
-            outcome = _suite_props(rows)
-        else:
-            outcome = _suite_mc(args, cache)
-        report["suites"][suite] = outcome
-        ok = ok and outcome["pass"]
-    report["pass"] = ok
-    print(json.dumps(report, indent=2))
+    outcomes = {suite: SUITES[suite](rows, args, cache) for suite in suites}
+    ok = all(outcome["pass"] for outcome in outcomes.values())
+    print(json.dumps({"ranks": args.ranks, "suites": outcomes, "pass": ok}, indent=2))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -331,9 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run cross-check suites")
-    p_verify.add_argument(
-        "--suite", choices=("oracle", "beta", "props", "mc", "all"), default="all"
-    )
+    p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p_verify.add_argument("-n", "--ranks", default="0..6", help='rank range like "0..6" or "8"')
     p_verify.add_argument("--threads", type=integer, default=1, help="accepted and ignored")
     p_verify.add_argument("--mc-samples", type=integer, default=1_000_000)

@@ -117,28 +117,6 @@ def _rank_checks(
     return rule, prime, [chi for chi, nonzero, det in dets if nonzero and det % n == 0]
 
 
-def verify_even_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
-    """Check "average nonzero iff the selection rule holds" over all rank-n matrices.
-
-    Expected to hold for n in {0, 2, 4, 6, 10, 12}; at n = 8 the witnesses
-    are exactly the orbit of RANK8_EXCEPTION.
-    """
-    if n % 2:
-        raise ValueError("even rank required")
-    return _rank_checks(n, rank_table(n, cache, canonical_only=True))[0]
-
-
-def verify_odd_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
-    """Check "average nonzero iff selection rule holds and det != 0" at odd rank n.
-
-    Expected to hold for n in {1, 3, 5, 7, 11, 13}; at n = 9 the witnesses
-    are exactly the orbit of RANK9_EXCEPTION.
-    """
-    if n % 2 == 0:
-        raise ValueError("odd rank required")
-    return _rank_checks(n, rank_table(n, cache, canonical_only=True))[0]
-
-
 def _is_odd_prime(n: int) -> bool:
     if n < 3 or n % 2 == 0:
         return False
@@ -150,11 +128,35 @@ def _is_odd_prime(n: int) -> bool:
     return True
 
 
+def _sweep(n: int, cache: Optional[ValueCache], accepts, required: str) -> tuple:
+    """_rank_checks over the canonical walk of rank n, once n is an int rank accepts takes."""
+    n = _strict_int(n, "rank", 0)
+    if not accepts(n):
+        raise ValueError(required)
+    return _rank_checks(n, rank_table(n, cache, canonical_only=True))
+
+
+def verify_even_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
+    """Check "average nonzero iff the selection rule holds" over all rank-n matrices.
+
+    Expected to hold for n in {0, 2, 4, 6, 10, 12}; at n = 8 the witnesses
+    are exactly the orbit of RANK8_EXCEPTION.
+    """
+    return _sweep(n, cache, lambda k: k % 2 == 0, "even rank required")[0]
+
+
+def verify_odd_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
+    """Check "average nonzero iff selection rule holds and det != 0" at odd rank n.
+
+    Expected to hold for n in {1, 3, 5, 7, 11, 13}; at n = 9 the witnesses
+    are exactly the orbit of RANK9_EXCEPTION.
+    """
+    return _sweep(n, cache, lambda k: k % 2, "odd rank required")[0]
+
+
 def verify_prime_nonvanishing(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
     """At odd prime rank n: nonzero whenever the selection rule holds and n ∤ det."""
-    if not _is_odd_prime(n):
-        raise ValueError("odd prime rank required")
-    return _rank_checks(n, rank_table(n, cache, canonical_only=True))[1]
+    return _sweep(n, cache, _is_odd_prime, "odd prime rank required")[1]
 
 
 def prop_converse_witnesses(n: int, cache: Optional[ValueCache] = None) -> list[PowerMatrix]:
@@ -163,9 +165,7 @@ def prop_converse_witnesses(n: int, cache: Optional[ValueCache] = None) -> list[
     These witness that divisibility of the determinant by the rank does not
     force the average to vanish.  Found by scanning; nothing is hard-coded.
     """
-    if not _is_odd_prime(n):
-        raise ValueError("odd prime rank required")
-    return _rank_checks(n, rank_table(n, cache, canonical_only=True))[2]
+    return _sweep(n, cache, _is_odd_prime, "odd prime rank required")[2]
 
 
 def counterexample_family(v: int, y: int, w: int) -> PowerMatrix:
@@ -175,6 +175,7 @@ def counterexample_family(v: int, y: int, w: int) -> PowerMatrix:
     (v+1)(y+1) - 1.  The caller can confirm selection_rule(result) is True
     and evaluate(result) == 0.
     """
+    v, y, w = _strict_int(v, "v"), _strict_int(y, "y"), _strict_int(w, "w")
     if v < 2 or v % 2:
         raise ValueError("v must be even and >= 2")
     if y < 2 or y % 2:

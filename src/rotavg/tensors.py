@@ -97,7 +97,7 @@ class DenseTensor:
         return Fraction(0) if self.mode == "exact" else 0.0
 
     def __getitem__(self, idx) -> object:
-        return self.components.get(tuple(idx), self.zero)
+        return self.components.get(_index_tuple(idx, self.rank), self.zero)
 
     def nonzero_items(self) -> list[tuple[IndexTuple, object]]:
         return sorted(self.components.items())
@@ -107,15 +107,14 @@ class DenseTensor:
         return product((1, 2, 3), repeat=rank)
 
     def to_json_obj(self, nonzero_only: bool = False) -> dict:
+        # every stored index passed _index_tuple, so read components directly
+        render = format_rational if self.mode == "exact" else float
         if nonzero_only:
-            indices = [idx for idx, _ in self.nonzero_items()]
+            items = self.nonzero_items()
         else:
-            indices = list(self.index_space(self.rank))
-        records = []
-        for idx in indices:
-            value = self[idx]
-            rendered = format_rational(value) if self.mode == "exact" else float(value)
-            records.append({"idx": list(idx), "value": rendered})
+            get, zero = self.components.get, self.zero
+            items = ((idx, get(idx, zero)) for idx in self.index_space(self.rank))
+        records = [{"idx": list(idx), "value": render(value)} for idx, value in items]
         return {"rank": self.rank, "mode": self.mode, "components": records}
 
     @classmethod
@@ -123,7 +122,7 @@ class DenseTensor:
         if not isinstance(obj, dict):
             raise ValueError("tensor file must hold a JSON object")
         try:
-            rank = _strict_int(obj["rank"], "tensor rank")
+            rank = _strict_int(obj["rank"], "tensor rank", 0)
             mode = obj["mode"]
             records = obj["components"]
         except (KeyError, TypeError, ValueError) as exc:

@@ -457,6 +457,15 @@ class TestVerify:
         run_json(capsys, "verify", "--suite", "all", "-n", "0..7", "--mc-samples", "2000")
         assert walks == {n: 1 for n in range(8)}
 
+    def test_suite_all_is_the_four_suites_in_table_order(self, capsys):
+        # both sides run in this process, so the oracle and mc floats compare bit for bit
+        argv = ["-n", "0..4", "--mc-samples", "2000", "--seed", "5"]
+        report = run_json(capsys, "verify", "--suite", "all", *argv)
+        assert list(report["suites"]) == ["oracle", "beta", "props", "mc"]
+        for suite, outcome in report["suites"].items():
+            assert outcome == run_json(capsys, "verify", "--suite", suite, *argv)["suites"][suite]
+        assert report["pass"] is all(outcome["pass"] for outcome in report["suites"].values())
+
     @pytest.mark.parametrize("ranks", [str(DEFAULT_ENUMERATE_LIMIT + 1), "0..40", "0..100000000000000"])
     def test_rank_ceiling(self, capsys, ranks):
         # every suite walks all binom(n+8, 8) flats per rank; rank 40 alone has 3.8e8,

@@ -149,6 +149,20 @@ class TestOddRule:
         with pytest.raises(ValueError):
             verify_odd_rule(True)
 
+    @pytest.mark.parametrize(
+        "sweep,n",
+        [
+            (verify_even_rule, "2"),
+            (verify_odd_rule, "1"),
+            (verify_prime_nonvanishing, "7"),
+            (prop_converse_witnesses, "7"),
+        ],
+    )
+    def test_sweeps_reject_string_ranks(self, sweep, n):
+        # each once raised TypeError from n % 2 or n < 3 before the rank was checked
+        with pytest.raises(ValueError, match=f"^rank must be an integer, not '{n}'$"):
+            sweep(n)
+
     def test_prime_rank7_nonvanishing(self, cache):
         report = verify_prime_nonvanishing(7, cache)
         assert report.verdict == "holds"
@@ -213,6 +227,15 @@ class TestCounterexampleFamily:
     def test_parameter_validation(self, v, y, w):
         with pytest.raises(ValueError):
             counterexample_family(v, y, w)
+
+    @pytest.mark.parametrize("position,name", [(0, "v"), (1, "y"), (2, "w")])
+    @pytest.mark.parametrize("kind", [str, float, bool])
+    def test_parameters_must_be_integers(self, position, name, kind):
+        # "2" once raised TypeError, True once read as 1, and 2.0 passed the range checks
+        args = [2, 2, 1]
+        args[position] = kind(args[position])
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not "):
+            counterexample_family(*args)
 
     def test_members_satisfy_selection_rule_but_vanish(self, cache):
         for v, y, w in [(2, 2, 1), (2, 4, 1), (4, 2, 3)]:

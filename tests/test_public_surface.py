@@ -48,6 +48,12 @@ OPTIONS = {
     ],
 }
 
+# the values of each option that takes one of a fixed set
+CHOICES = {
+    ("verify", "--suite"): ["oracle", "beta", "props", "mc", "all"],
+    ("enumerate", "--format"): ["json", "csv"],
+}
+
 
 @pytest.mark.parametrize("name", EXPORTED)
 def test_name_is_exported(name):
@@ -64,3 +70,10 @@ def test_subcommand_keeps_its_options(command):
     parser = _subcommands()[command]
     present = {s for action in parser._actions for s in action.option_strings}
     assert set(OPTIONS[command]) <= present
+
+
+@pytest.mark.parametrize("command,option", sorted(CHOICES))
+def test_option_keeps_its_choices(command, option):
+    parser = _subcommands()[command]
+    (action,) = [a for a in parser._actions if option in a.option_strings]
+    assert set(CHOICES[command, option]) <= set(action.choices)

@@ -141,6 +141,12 @@ class TestDenseTensor:
         # a list of components once raised AttributeError
         with pytest.raises(ValueError):
             DenseTensor(rank=1, components=[1])
+        # reads once skipped the check: these read 0 or the value stored at (1, 1)
+        t = DenseTensor(rank=2, components={(1, 1): 7})
+        for idx in [(1, 4), (1,), (0, 1), (1.0, 1), (True, 1)]:
+            with pytest.raises(ValueError):
+                t[idx]
+        assert t[[1, 1]] == 7
 
     def test_exact_mode_rejects_floats(self):
         with pytest.raises(ValueError):
@@ -181,6 +187,10 @@ class TestDenseTensor:
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError):
             DenseTensor.from_json_obj({"rank": 1})
+        # a negative rank once failed on its first index instead
+        obj = {"rank": -1, "mode": "exact", "components": [{"idx": [1], "value": "1"}]}
+        with pytest.raises(ValueError, match="tensor rank must be at least 0"):
+            DenseTensor.from_json_obj(obj)
 
 
 class TestAverageComponent:
