@@ -62,10 +62,25 @@ def _cache_from_env() -> ValueCache:
     return ValueCache(limit=int(raw))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One decoded JSON object; json.loads alone keeps the last of a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def _load_json(text: str, what: str):
-    """Decoded JSON text; malformed or too deeply nested text is a ValueError naming what."""
+    """Decoded JSON text; malformed or too deeply nested text is a ValueError naming what.
+
+    An object that repeats a key is a ValueError too.
+    """
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what} is not valid JSON: {exc}") from None
 
@@ -120,11 +135,34 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
+# How `average` renders one value, by tensor mode.  Exact values are
+# Fractions, whose str is the ASCII -?[0-9]+(/[0-9]+)? of format_rational;
+# float values are finite Python floats, whose repr is their JSON number.
+# Neither needs escaping.
+_AVERAGE_VALUE_TEMPLATES = {"exact": '"%s"', "float": "%r"}
+
+
+def _render_average(tensor: DenseTensor, nonzero_only: bool) -> str:
+    """json.dumps(tensor.to_json_obj(nonzero_only), indent=2), from one record template."""
+    axes = ",\n".join(["        %d"] * tensor.rank)
+    record = (
+        "    {\n"
+        + ('      "idx": [\n' + axes + "\n      ],\n" if axes else '      "idx": [],\n')
+        + '      "value": ' + _AVERAGE_VALUE_TEMPLATES[tensor.mode] + "\n"
+        "    }"
+    )
+    records = ",\n".join([record % (*idx, value) for idx, value in tensor._items(nonzero_only)])
+    components = "[\n" + records + "\n  ]" if records else "[]"
+    return '{\n  "rank": %d,\n  "mode": "%s",\n  "components": %s\n}' % (
+        tensor.rank, tensor.mode, components,
+    )
+
+
 def _cmd_average(args) -> int:
     with open(args.tensor_file, "r", encoding="utf-8") as handle:
         tensor = DenseTensor.from_json_obj(_load_json(handle.read(), "tensor file"))
     averaged = average_tensor(tensor, max_rank=args.max_rank, cache=_cache_from_env())
-    payload = json.dumps(averaged.to_json_obj(nonzero_only=args.nonzero_only), indent=2)
+    payload = _render_average(averaged, args.nonzero_only)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")

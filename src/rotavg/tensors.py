@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .evaluator import ValueCache, evaluate
-from .power_matrix import PowerMatrix, _axes, _pair_flat, _strict_int
+from .power_matrix import _PERMS3, PowerMatrix, _axes, _pair_flat, _perm_sign, _strict_int
 from .rationals import format_rational, parse_rational
 
 IndexTuple = tuple[int, ...]
@@ -36,6 +36,10 @@ DEFAULT_MAX_RANK = 10
 
 # pair codes (see _PairKernel) are below (n+1)**9, which fits int64 up to here
 PAIR_CODE_MAX_RANK = 127
+
+# the six relabelings of the lab axes, each as (image, sign): image[i] is
+# the new label of axis i (slot 0 unused) and sign the permutation's sign
+_RELABELINGS = tuple(((0, *(axis + 1 for axis in p)), _perm_sign(p)) for p in _PERMS3)
 
 
 class RankLimitError(ValueError):
@@ -106,15 +110,17 @@ class DenseTensor:
     def index_space(rank: int):
         return product((1, 2, 3), repeat=rank)
 
-    def to_json_obj(self, nonzero_only: bool = False) -> dict:
-        # every stored index passed _index_tuple, so read components directly
-        render = format_rational if self.mode == "exact" else float
+    def _items(self, nonzero_only: bool):
+        """(index, value) pairs in index order: the stored ones, or every index."""
         if nonzero_only:
-            items = self.nonzero_items()
-        else:
-            get, zero = self.components.get, self.zero
-            items = ((idx, get(idx, zero)) for idx in self.index_space(self.rank))
-        records = [{"idx": list(idx), "value": render(value)} for idx, value in items]
+            return self.nonzero_items()
+        # every stored index passed _index_tuple, so read components directly
+        get, zero = self.components.get, self.zero
+        return ((idx, get(idx, zero)) for idx in self.index_space(self.rank))
+
+    def to_json_obj(self, nonzero_only: bool = False) -> dict:
+        render = format_rational if self.mode == "exact" else float
+        records = [{"idx": list(idx), "value": render(value)} for idx, value in self._items(nonzero_only)]
         return {"rank": self.rank, "mode": self.mode, "components": records}
 
     @classmethod
@@ -247,11 +253,19 @@ def average_tensor(
 
     Lab tuples whose axis counts already break the parity selection rule are
     zero for every molecular tuple and are skipped without evaluation.
+    The average is invariant under rotations, so relabeling the lab axes by
+    a permutation p turns each component into sign(p)**rank times another.
+    Exact mode evaluates the first lab tuple of each orbit of the six
+    relabelings and fills in the others.  Float mode evaluates every lab
+    tuple: a relabeled tuple sums in another order, which can move the
+    last bit.
     """
+    max_rank = _strict_int(max_rank, "max_rank", 0)
     n = tensor.rank
     _check_ceiling(n, max_rank)
     kernel = _PairKernel(tensor, cache)
     parity = n & 1
+    pending: dict[IndexTuple, object] = {}  # exact orbit values of labs not yet reached
     out: dict[IndexTuple, object] = {}
     for lab in product((1, 2, 3), repeat=n):
         counts = [0, 0, 0]
@@ -259,7 +273,15 @@ def average_tensor(
             counts[i - 1] += 1
         if (counts[0] & 1) != parity or (counts[1] & 1) != parity or (counts[2] & 1) != parity:
             continue
-        value = kernel.component(lab)
+        if not kernel.exact:
+            value = kernel.component(lab)
+        else:
+            if lab not in pending:  # the orbit's first lab in product order
+                value = kernel.component(lab)
+                odd = -value if parity else value
+                for image, sign in _RELABELINGS:
+                    pending[tuple([image[i] for i in lab])] = value if sign > 0 else odd
+            value = pending.pop(lab)
         if value:
             out[lab] = value
     return DenseTensor(rank=n, mode=tensor.mode, components=out)

@@ -15,13 +15,14 @@ from pathlib import Path
 import pytest
 
 import rotavg
-from rotavg import PowerMatrix, ValueCache, canonicalize, determinant, parse_rational, rank_table
+from rotavg import DenseTensor, PowerMatrix, ValueCache, canonicalize, determinant, parse_rational, rank_table
 from rotavg.cli import (
     DEFAULT_ENUMERATE_LIMIT,
     EXIT_BROKEN_PIPE,
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_PARSE,
+    _render_average,
     build_parser,
     main,
 )
@@ -192,6 +193,26 @@ def write_tensor(tmp_path, name, obj):
     return str(path)
 
 
+def seeded_dense_tensor(rank, mode, seed):
+    rng = random.Random(seed)
+    components = []
+    for idx in itertools.product((1, 2, 3), repeat=rank):
+        if mode == "exact":
+            value = f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+        else:
+            value = rng.uniform(-1.0, 1.0)
+        components.append({"idx": list(idx), "value": value})
+    return {"rank": rank, "mode": mode, "components": components}
+
+
+def seeded_sparse_tensor(rank, size, seed):
+    """size distinct exact components at seeded index tuples."""
+    rng = random.Random(seed)
+    indices = sorted(rng.sample(list(itertools.product((1, 2, 3), repeat=rank)), size))
+    components = [{"idx": list(idx), "value": f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"} for idx in indices]
+    return {"rank": rank, "mode": "exact", "components": components}
+
+
 class TestAverage:
     def test_rank2_identity_returns_itself(self, capsys, tmp_path):
         path = write_tensor(
@@ -255,6 +276,34 @@ class TestAverage:
         code, _ = run_cli(capsys, "average", path, "--out", str(dest))
         assert code == EXIT_OK
         assert json.loads(dest.read_text())["components"] == [{"idx": [], "value": "3/4"}]
+
+    @pytest.mark.parametrize("nonzero_only", [False, True])
+    @pytest.mark.parametrize("obj", [seeded_sparse_tensor(5, 60, seed=3), seeded_dense_tensor(4, "float", seed=4)])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, obj, nonzero_only):
+        path = write_tensor(tmp_path, "t.json", obj)
+        flags = ["--nonzero-only"] if nonzero_only else []
+        code, out = run_cli(capsys, "average", path, *flags)
+        assert code == EXIT_OK
+        dest = tmp_path / "out.json"
+        assert run_cli(capsys, "average", path, "--out", str(dest), *flags) == (EXIT_OK, "")
+        assert dest.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the second rank once won: this averaged a rank-3 tensor
+            '{"rank": 2, "mode": "exact", "rank": 3, "components": [{"idx": [1, 2, 3], "value": "1"}]}',
+            '{"rank": 1, "mode": "exact", "components": [{"idx": [1], "value": "1", "value": "2"}]}',
+        ],
+        ids=["top-level", "in-record"],
+    )
+    def test_duplicate_json_key_is_a_parse_error(self, capsys, tmp_path, text):
+        path = tmp_path / "dup.json"
+        path.write_text(text, encoding="utf-8")
+        code, err = run_failing(capsys, ["average", str(path)])
+        assert code == EXIT_PARSE
+        assert err.startswith("error: duplicate key")
+        assert len(err.splitlines()) == 1
 
     def test_duplicate_component_is_a_parse_error(self, capsys, tmp_path):
         path = write_tensor(
@@ -372,25 +421,25 @@ class TestAverage:
         assert parser.parse_args(["average", "t.json"]).max_rank == rotavg.tensors.DEFAULT_MAX_RANK
 
 
-def seeded_dense_tensor(rank, mode, seed):
-    rng = random.Random(seed)
-    components = []
-    for idx in itertools.product((1, 2, 3), repeat=rank):
-        if mode == "exact":
-            value = f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
-        else:
-            value = rng.uniform(-1.0, 1.0)
-        components.append({"idx": list(idx), "value": value})
-    return {"rank": rank, "mode": mode, "components": components}
-
-
-# SHA-256 of `rotavg average` stdout, captured before the pair-code kernel
-# replaced the per-lab loop; the kernel must reproduce it byte for byte
+# SHA-256 of `rotavg average` stdout.  The rank-6 exact and rank-7 float
+# digests were captured before the pair-code kernel replaced the per-lab
+# loop, the others before the exact mode evaluated one lab tuple per
+# axis-relabeling orbit; both changes must reproduce them byte for byte
 AVERAGE_STDOUT_SHA256 = {
+    (5, "exact", False): "3201faff2f67a5fcad52a72f4179c650cadc0abf36b58288abeef02f881dab88",
+    (5, "exact", True): "d6bff784b292745021584c18074f3a01770f4e4a64f63445d732b3deb70d5ab5",
     (6, "exact", False): "bea20a39199a06a57fa67c081bf292bc6e58e60e8d5383feb2de03e67af45a71",
     (6, "exact", True): "f328946cbeea8658199322a97fcebc0d647cafd074ab66e214b677d8af984e6b",
+    (7, "exact", False): "072dc4f1af1ddd7ec13329d042715e3873bd31a57ef119294e1dafd013e9963f",
+    (7, "exact", True): "a06debdf9c6c0b3eef920203c3f7c58f468d5f0e06f7305cdf0693417b433b9f",
     (7, "float", False): "4f4b32e2a9a1f6d151dbf54687c6a794979dfdc178c8f3e65df2dbd59124b108",
     (7, "float", True): "d34845b642b538c36dd9be42b7ea5631815cbcd5e2476e80df5b1458b17557b6",
+}
+
+# the same for seeded_sparse_tensor(8, 36, seed=8), keyed by nonzero_only
+SPARSE_AVERAGE_STDOUT_SHA256 = {
+    False: "79c28990b9d900b7dd861c7d57392e3feb9108744d5cc01fce1de96d2a1ec025",
+    True: "e7e932d1db3763bc77066440d300da6d8f5de6d3a1f8a3f35ccb06305aaf67db",
 }
 
 
@@ -402,6 +451,39 @@ class TestAverageGolden:
         assert code == EXIT_OK
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == AVERAGE_STDOUT_SHA256[rank, mode, nonzero_only]
+
+    @pytest.mark.parametrize("nonzero_only", sorted(SPARSE_AVERAGE_STDOUT_SHA256))
+    def test_sparse_stdout_digest(self, capsys, tmp_path, nonzero_only):
+        path = write_tensor(tmp_path, "t.json", seeded_sparse_tensor(8, 36, seed=8))
+        code, out = run_cli(capsys, "average", path, *(["--nonzero-only"] if nonzero_only else []))
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == SPARSE_AVERAGE_STDOUT_SHA256[nonzero_only]
+
+
+def rendered_tensors(rank, mode):
+    """An empty tensor, then a sparse and a dense one holding extreme values, seeded."""
+    rng = random.Random(f"{rank}-{mode}")
+    if mode == "exact":
+        pool = [Fraction(-3, 7), Fraction(5), Fraction(-(10**399 + 7), 3), Fraction(1, 10**399 + 9)]
+    else:
+        pool = [1e308, -1e308, 5e-324, -0.1, 2.5, 1.0]
+    yield DenseTensor(rank=rank, mode=mode)
+    for density in (0.3, 1.0):
+        components = {
+            idx: rng.choice(pool) for idx in itertools.product((1, 2, 3), repeat=rank) if rng.random() < density
+        }
+        yield DenseTensor(rank=rank, mode=mode, components=components)
+
+
+class TestAverageRender:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("rank", range(7))
+    def test_equals_json_dumps_of_to_json_obj(self, rank, mode):
+        for tensor in rendered_tensors(rank, mode):
+            for nonzero_only in (False, True):
+                expected = json.dumps(tensor.to_json_obj(nonzero_only), indent=2)
+                assert _render_average(tensor, nonzero_only) == expected
 
 
 class TestVerify:

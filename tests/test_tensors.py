@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+import rotavg
 from rotavg import (
     AngleTriple,
     DenseTensor,
@@ -264,6 +265,13 @@ class TestAverageTensor:
         with pytest.raises(RankLimitError):
             average_tensor(t, max_rank=2)
 
+    @pytest.mark.parametrize("max_rank", ["5", True, 2.5, -1])
+    def test_max_rank_is_a_nonnegative_integer(self, max_rank):
+        # "5" once raised TypeError, True was read as the ceiling 1 and 2.5 was accepted
+        t = DenseTensor(rank=2, components={(1, 1): 1})
+        with pytest.raises(ValueError, match="max_rank must be"):
+            average_tensor(t, max_rank=max_rank)
+
     @given(rank2_tensors(), rank2_tensors(), rational_values, rational_values)
     @settings(deadline=None, max_examples=20)
     def test_linearity(self, s, t, a, b):
@@ -316,11 +324,42 @@ class TestPairCodeKernel:
     @example(rank=6, mode="float", density=1.0, seed=2)
     @example(rank=6, mode="exact", density=0.05, seed=3)
     @example(rank=5, mode="float", density=0.3, seed=4)
+    # odd exact ranks, where an odd relabeling negates the orbit's value
+    @example(rank=5, mode="exact", density=1.0, seed=5)
+    @example(rank=3, mode="exact", density=0.3, seed=6)
     @settings(deadline=None, max_examples=30)
     def test_matches_per_lab_reference(self, rank, mode, density, seed):
         t = seeded_tensor(rank, mode, density, seed)
         # == also for floats: the kernel keeps the reference's summation order
         assert average_tensor(t).components == reference_average_tensor(t)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_exact_mode_evaluates_one_lab_per_relabeling_orbit(self, monkeypatch, mode):
+        evaluated = []
+        component = rotavg.tensors._PairKernel.component
+
+        def counted(kernel, lab):
+            evaluated.append(lab)
+            return component(kernel, lab)
+
+        monkeypatch.setattr(rotavg.tensors._PairKernel, "component", counted)
+        t = seeded_tensor(4, mode, 1.0, seed=7)
+        out = average_tensor(t)
+        passing = [lab for lab in DenseTensor.index_space(4) if all(lab.count(axis) % 2 == 0 for axis in (1, 2, 3))]
+
+        def orbit_name(lab):
+            # relabelings of the three axes permute the labels, so naming the
+            # labels in order of first use gives one name per orbit
+            names = {}
+            return tuple(names.setdefault(axis, len(names)) for axis in lab)
+
+        if mode == "exact":
+            # (1,1,1,1), (1,1,2,2), (1,2,1,2) and (1,2,2,1), of 21 passing labs
+            assert len(evaluated) == len({orbit_name(lab) for lab in passing}) == 4
+            assert len({orbit_name(lab) for lab in evaluated}) == 4
+        else:
+            assert evaluated == passing
+        assert out.components == reference_average_tensor(t)
 
     @given(**tensor_params(max_rank=4))
     @settings(deadline=None, max_examples=25)
