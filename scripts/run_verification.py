@@ -4,7 +4,8 @@
 Runs ``rotavg verify --suite all -n 0..M``, then ``--suite props -n M+1..P``
 when P > M.  The report is {"pass": bool, "runs": [<rotavg verify report>,
 ...]}; the exit code is the highest of the runs: 0 pass, 1 a check failed,
-2 a bad rank range, 3 a rank above verify's ceiling (13).  An integer flag
+2 a bad rank range, 3 a rank above verify's ceiling (13) or an
+--mc-samples above its sample ceiling (10^8).  An integer flag
 takes ASCII digits with an optional minus sign, as rotavg's own do; any
 other value, or an --out that cannot be opened for writing, exits 2
 before any run, with no report.

@@ -41,6 +41,8 @@ EXIT_BROKEN_PIPE = 141
 DEFAULT_ENUMERATE_LIMIT = 13
 # the top of the rank range the benchmark times closed_form on
 DEFAULT_COMPUTE_LIMIT = 120
+# Monte Carlo draws per battery matrix: 100 times verify's default
+DEFAULT_MC_SAMPLES_LIMIT = 10**8
 
 # int() alone also reads "+3", " 3", "1_0" and the digits of other scripts
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -308,6 +310,10 @@ def _cmd_verify(args) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     if "mc" in suites and args.mc_samples < 2:
         raise ValueError(f"--mc-samples needs at least two samples, got {args.mc_samples}")
+    if "mc" in suites and args.mc_samples > DEFAULT_MC_SAMPLES_LIMIT:
+        raise RankLimitError(
+            f"--mc-samples {args.mc_samples} exceeds the sample ceiling {DEFAULT_MC_SAMPLES_LIMIT}"
+        )
     if "mc" in suites and args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     # one walk per rank, shared by the oracle, beta and props suites; the
@@ -363,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p_verify.add_argument("-n", "--ranks", default="0..6", help='rank range like "0..6" or "8"')
     p_verify.add_argument("--threads", type=integer, default=1, help="accepted and ignored")
-    p_verify.add_argument("--mc-samples", type=integer, default=1_000_000)
+    p_verify.add_argument(
+        "--mc-samples", type=integer, default=1_000_000,
+        help=f"Monte Carlo draws per battery matrix, 2 to {DEFAULT_MC_SAMPLES_LIMIT}",
+    )
     p_verify.add_argument("--seed", type=integer, default=20240801)
     p_verify.set_defaults(func=_cmd_verify)
 

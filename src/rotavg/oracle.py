@@ -10,6 +10,7 @@ only to bound them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
 from typing import Optional
 
@@ -66,9 +67,6 @@ class QuadratureSpec:
 
 # Row-major direction cosines l_ij of the z-y-z rotation, each a formula in
 # (cos a, sin a, cos b, sin b, cos g, sin g) for broadcastable angle arrays.
-# Entry (3,3) broadcasts cos b against the alpha/gamma shape explicitly: a
-# zero-stride broadcast would change einsum's summation order, and with it
-# the last bits of the quadrature.
 _COSINES = (
     lambda ca, sa, cb, sb, cg, sg: -sa * sg + ca * cb * cg,
     lambda ca, sa, cb, sb, cg, sg: -cg * sa - ca * cb * sg,
@@ -78,12 +76,34 @@ _COSINES = (
     lambda ca, sa, cb, sb, cg, sg: sa * sb,
     lambda ca, sa, cb, sb, cg, sg: -cg * sb,
     lambda ca, sa, cb, sb, cg, sg: sb * sg,
-    lambda ca, sa, cb, sb, cg, sg: cb * np.ones_like(ca * cg),
+    lambda ca, sa, cb, sb, cg, sg: cb,
+)
+
+# The positions in (ca, sa, cb, sb, cg, sg) that each _COSINES formula reads.
+_READS = (
+    (0, 1, 2, 4, 5), (0, 1, 2, 4, 5), (0, 3),
+    (0, 1, 2, 4, 5), (0, 1, 2, 4, 5), (1, 3),
+    (3, 4), (3, 5), (2,),
+)
+
+# The six angle functions themselves, from broadcastable arrays of alpha,
+# cos(beta) and gamma: the quadrature's grid axes or Monte Carlo's draws.
+_ANGLE_FUNCTIONS = (
+    lambda alpha, cb, gamma: np.cos(alpha),
+    lambda alpha, cb, gamma: np.sin(alpha),
+    lambda alpha, cb, gamma: cb,
+    lambda alpha, cb, gamma: np.sqrt(1.0 - cb * cb),
+    lambda alpha, cb, gamma: np.cos(gamma),
+    lambda alpha, cb, gamma: np.sin(gamma),
 )
 
 # Monte Carlo draws this many rotations per batch; the batch size fixes how
 # the PCG64 stream is split, so it is part of what a seed reproduces.
 _MC_CHUNK = 1 << 16
+
+# Quadrature grids kept, by spec: the 14 default specs of ranks 0-13 and room
+# for refined ones.
+_GRID_CACHE_SIZE = 32
 
 
 def euler_matrix(angles: AngleTriple) -> np.ndarray:
@@ -96,18 +116,25 @@ def euler_matrix(angles: AngleTriple) -> np.ndarray:
     return np.array([cosine(*trig) for cosine in _COSINES], dtype=float).reshape(3, 3)
 
 
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _grid(spec: QuadratureSpec):
-    """Broadcast angle grids plus the Gauss weights in x = cos(beta)."""
+    """Read-only broadcast angle grids plus the Gauss weights in x = cos(beta).
+
+    cos(beta) is a view over the whole grid shape, not a copy, so entry
+    (3,3) of _COSINES read alone still gives a full-grid integrand: one
+    broadcast over alpha and gamma would change einsum's summation order,
+    and with it the last bits of the quadrature.
+    """
+    shape = (spec.alpha_points, spec.beta_points, spec.gamma_points)
     alphas = np.arange(spec.alpha_points) * (2 * pi / spec.alpha_points)
     gammas = np.arange(spec.gamma_points) * (2 * pi / spec.gamma_points)
     xs, wb = np.polynomial.legendre.leggauss(spec.beta_points)
-    ca = np.cos(alphas)[:, None, None]
-    sa = np.sin(alphas)[:, None, None]
-    cb = xs[None, :, None]
-    sb = np.sqrt(1.0 - xs * xs)[None, :, None]
-    cg = np.cos(gammas)[None, None, :]
-    sg = np.sin(gammas)[None, None, :]
-    return (ca, sa, cb, sb, cg, sg), wb
+    axes = (alphas[:, None, None], xs[None, :, None], gammas[None, None, :])
+    trig = [angle_function(*axes) for angle_function in _ANGLE_FUNCTIONS]
+    trig[2] = np.broadcast_to(trig[2], shape)
+    for array in (*trig, wb):
+        array.flags.writeable = False
+    return tuple(trig), wb
 
 
 def _monomial(entry, flat, shape) -> np.ndarray:
@@ -192,6 +219,8 @@ def monte_carlo_average(chi: PowerMatrix, samples: int, seed: int) -> tuple[floa
         raise ValueError(f"need at least two samples for a standard error, got {samples}")
     rng = np.random.default_rng(_strict_int(seed, "seed", 0))
     flat = chi.flat
+    # the angle functions the monomial's entries read; the others stay None
+    reads = sorted(set().union(*(_READS[k] for k, power in enumerate(flat) if power)))
     total = 0.0
     total_sq = 0.0
     remaining = samples
@@ -201,8 +230,9 @@ def monte_carlo_average(chi: PowerMatrix, samples: int, seed: int) -> tuple[floa
         alpha = rng.uniform(0.0, 2 * pi, m)
         cb = rng.uniform(-1.0, 1.0, m)
         gamma = rng.uniform(0.0, 2 * pi, m)
-        sb = np.sqrt(1.0 - cb * cb)
-        trig = (np.cos(alpha), np.sin(alpha), cb, sb, np.cos(gamma), np.sin(gamma))
+        trig = [None] * 6
+        for i in reads:
+            trig[i] = _ANGLE_FUNCTIONS[i](alpha, cb, gamma)
         values = _monomial(lambda k: _COSINES[k](*trig), flat, (m,))
         total += float(values.sum())
         total_sq += float((values * values).sum())

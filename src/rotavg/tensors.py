@@ -43,7 +43,7 @@ _RELABELINGS = tuple(((0, *(axis + 1 for axis in p)), _perm_sign(p)) for p in _P
 
 
 class RankLimitError(ValueError):
-    """A requested rank exceeds its ceiling."""
+    """A requested rank, or another size, exceeds its ceiling."""
 
 
 def _check_ceiling(rank: int, ceiling: int, name: str = "ceiling") -> None:
@@ -95,6 +95,19 @@ class DenseTensor:
             if value:
                 cleaned[idx] = value
         self.components = cleaned
+
+    @classmethod
+    def _trusted(cls, rank: int, mode: str, components: dict) -> "DenseTensor":
+        """Wrap components without validating them.
+
+        Only for results the package computed itself: one-based index tuples
+        of length rank mapped to nonzero values of the mode's type (Fraction
+        for exact, a finite Python float for float).  Every outside input
+        goes through the validating constructor.
+        """
+        tensor = object.__new__(cls)
+        tensor.rank, tensor.mode, tensor.components = rank, mode, components
+        return tensor
 
     @property
     def zero(self):
@@ -284,4 +297,4 @@ def average_tensor(
             value = pending.pop(lab)
         if value:
             out[lab] = value
-    return DenseTensor(rank=n, mode=tensor.mode, components=out)
+    return DenseTensor._trusted(n, tensor.mode, out)

@@ -18,6 +18,7 @@ import rotavg
 from rotavg import DenseTensor, PowerMatrix, ValueCache, canonicalize, determinant, parse_rational, rank_table
 from rotavg.cli import (
     DEFAULT_ENUMERATE_LIMIT,
+    DEFAULT_MC_SAMPLES_LIMIT,
     EXIT_BROKEN_PIPE,
     EXIT_LIMIT,
     EXIT_OK,
@@ -760,6 +761,7 @@ class TestExitCodes:
             ["average", "{r3}", "--max-rank", "2"],
             # the pair-code ceiling, hit only when --max-rank lets it through
             ["average", "{r128}", "--max-rank", "200"],
+            ["verify", "--suite", "mc", "--mc-samples", str(DEFAULT_MC_SAMPLES_LIMIT + 1)],
         ],
     )
     def test_every_ceiling_exits_3_with_one_error_line(self, capsys, tmp_path, argv):
@@ -789,6 +791,25 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("suite", ["all", "mc"])
+    def test_mc_sample_ceiling_is_checked_before_any_work(self, capsys, monkeypatch, suite):
+        # --mc-samples 1000000000000 once ran without bound
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify started work above the sample ceiling")
+
+        monkeypatch.setattr(rotavg.cli, "rank_table", no_work)
+        monkeypatch.setattr(rotavg.cli, "monte_carlo_average", no_work)
+        argv = ["verify", "--suite", suite, "-n", "0..11", "--mc-samples", "1000000000000"]
+        code, err = run_failing(capsys, argv)
+        assert code == EXIT_LIMIT
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert f"sample ceiling {DEFAULT_MC_SAMPLES_LIMIT}" in err
+
+    def test_mc_sample_ceiling_binds_only_the_mc_suite(self, capsys):
+        argv = ["-n", "0..2", "--mc-samples", str(DEFAULT_MC_SAMPLES_LIMIT + 1)]
+        assert run_json(capsys, "verify", "--suite", "beta", *argv)["pass"] is True
 
 
 class ClosedPipe(io.TextIOBase):

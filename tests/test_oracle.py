@@ -1,3 +1,4 @@
+import json
 from math import pi
 
 import numpy as np
@@ -15,6 +16,8 @@ from rotavg import (
     quadrature_average,
     selection_rule,
 )
+from rotavg.cli import main
+from rotavg.oracle import _COSINES, _READS, _grid
 from rotavg.propositions import canonical_representatives
 
 IDENT3 = PowerMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -289,3 +292,59 @@ class TestBitIdenticalToEagerReference:
             assert monte_carlo_average(chi, 70_000, seed=i) == _ref_monte_carlo(
                 chi, 70_000, seed=i
             ), chi
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_monte_carlo_single_entries(self, power):
+        # each entry alone computes only the angle functions it reads; 70,000
+        # samples leave a partial second chunk
+        for k in range(9):
+            flat = [0] * 9
+            flat[k] = power
+            chi = PowerMatrix.from_flat(flat)
+            expected = _ref_monte_carlo(chi, 70_000, seed=k)
+            assert monte_carlo_average(chi, 70_000, seed=k) == expected, chi
+
+    def test_quadrature_repeats_on_a_cached_grid(self):
+        spec = QuadratureSpec.for_rank(4).refined()
+        for chi in canonical_representatives(4):
+            assert quadrature_average(chi, spec) == quadrature_average(chi, spec), chi
+
+    def test_cached_grid_is_read_only(self):
+        trig, wb = _grid(QuadratureSpec.for_rank(3))
+        for array in (*trig, wb):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
+
+
+class TestAngleFunctionReads:
+    """_READS names exactly the angle functions each _COSINES formula reads."""
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_formula_needs_only_its_reads(self, k):
+        trig = [np.full(4, 0.5) if i in _READS[k] else None for i in range(6)]
+        assert _COSINES[k](*trig).shape == (4,)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_formula_reads_each_of_its_reads(self, k):
+        for missing in _READS[k]:
+            trig = [None if i == missing else np.full(4, 0.5) for i in range(6)]
+            try:
+                value = _COSINES[k](*trig)
+            except TypeError:  # arithmetic on the missing None
+                continue
+            assert value is None, (k, missing)  # (3,3) passes cos(beta) through
+
+
+class TestCliMonteCarloReport:
+    @pytest.mark.parametrize("seed", [1, 441])
+    def test_mc_report_matches_the_reference(self, capsys, seed):
+        # stdout digests cannot pin the mc floats across platforms; on one
+        # machine each mean and stderr must equal the eager reference's
+        code = main(["verify", "--suite", "mc", "-n", "0", "--mc-samples", "70000", "--seed", str(seed)])
+        assert code == 0
+        results = json.loads(capsys.readouterr().out)["suites"]["mc"]["results"]
+        battery = default_mc_battery()
+        assert [result["chi"] for result in results] == [chi.to_lists() for chi in battery]
+        for i, (chi, result) in enumerate(zip(battery, results)):
+            mean, stderr = _ref_monte_carlo(chi, 70_000, seed + i)
+            assert (result["mean"], result["stderr"]) == (mean, stderr), chi

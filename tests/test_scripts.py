@@ -11,6 +11,7 @@ import pytest
 from rotavg import PowerMatrix, canonicalize
 from rotavg.cli import (
     DEFAULT_ENUMERATE_LIMIT,
+    DEFAULT_MC_SAMPLES_LIMIT,
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_PARSE,
@@ -139,6 +140,16 @@ class TestRunVerification:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False
         assert [run["ranks"] for run in report["runs"]] == ["0..0"]
+
+    def test_mc_samples_over_the_ceiling_exits_3(self, monkeypatch, capsys):
+        code = run_script(
+            monkeypatch, "run_verification", "--max-rank", "0",
+            "--mc-samples", str(DEFAULT_MC_SAMPLES_LIMIT + 1),
+        )
+        assert code == EXIT_LIMIT
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"pass": False, "runs": []}
+        assert "sample ceiling" in captured.err
 
     @pytest.mark.parametrize("text", ["1_0", "+3", " 3", "\u0663"])
     @pytest.mark.parametrize("flag", ["--max-rank", "--props-max-rank", "--mc-samples", "--seed"])

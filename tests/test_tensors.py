@@ -317,6 +317,19 @@ class TestAverageTensor:
         for idx in DenseTensor.index_space(3):
             assert abs(out_plain[idx] - out_rotated[idx]) <= 1e-10
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("rank,density", [(4, 1.0), (5, 0.3), (6, 0.05)])
+    def test_result_is_what_the_validating_constructor_gives(self, mode, rank, density):
+        # the result skips __post_init__; the renderer formats float values
+        # with %r, so an np.float64 would print differently
+        out = average_tensor(seeded_tensor(rank, mode, density, seed=rank))
+        validated = DenseTensor(rank=out.rank, mode=out.mode, components=out.components)
+        assert out == validated
+        assert list(out.components) == list(validated.components)
+        kind = Fraction if mode == "exact" else float
+        assert all(type(value) is kind for value in out.components.values())
+        assert all(value for value in out.components.values())
+
 
 class TestPairCodeKernel:
     @given(**tensor_params(max_rank=6))
