@@ -55,6 +55,14 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def ceiling(text: str) -> int:
+    """A --max-rank value: an integer of at least 0, so a negative one is malformed, not a limit."""
+    value = integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a rank ceiling must be at least 0, not {value}")
+    return value
+
+
 def _cache_from_env() -> ValueCache:
     raw = os.environ.get("ROTAVG_CACHE_LIMIT")
     if raw is None:
@@ -341,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--chi", help='3x3 JSON matrix, e.g. "[[1,0,0],[0,1,0],[0,0,1]]"')
     src.add_argument("--indices", help='lab/molecular digit pairs, e.g. "11,22,33"')
     p_compute.add_argument(
-        "--max-rank", type=integer, default=DEFAULT_COMPUTE_LIMIT,
+        "--max-rank", type=ceiling, default=DEFAULT_COMPUTE_LIMIT,
         help=f"rank ceiling (default {DEFAULT_COMPUTE_LIMIT})",
     )
     p_compute.set_defaults(func=_cmd_compute)
@@ -351,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_average.add_argument("--out", help="output path (default: stdout)")
     p_average.add_argument("--nonzero-only", action="store_true", help="emit only nonzero components")
     p_average.add_argument(
-        "--max-rank", type=integer, default=DEFAULT_MAX_RANK,
+        "--max-rank", type=ceiling, default=DEFAULT_MAX_RANK,
         help=f"rank ceiling (default {DEFAULT_MAX_RANK})",
     )
     p_average.set_defaults(func=_cmd_average)
@@ -362,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--canonical", action="store_true", help="one representative per orbit")
     p_enum.add_argument("--format", choices=("json", "csv"), default="json")
     p_enum.add_argument("--threads", type=integer, default=1, help="accepted and ignored")
-    p_enum.add_argument("--max-rank", type=integer, default=DEFAULT_ENUMERATE_LIMIT)
+    p_enum.add_argument("--max-rank", type=ceiling, default=DEFAULT_ENUMERATE_LIMIT)
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run cross-check suites")

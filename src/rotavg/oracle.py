@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import pi
 from typing import Optional
 
 import numpy as np
 
-from .power_matrix import PowerMatrix, _strict_int
+from .power_matrix import PowerMatrix, _strict_int, selection_rule
+from .propositions import enumerate_power_matrices
 
 
 @dataclass(frozen=True)
@@ -247,16 +249,6 @@ def default_mc_battery() -> list[PowerMatrix]:
     The first four selection-rule-passing matrices of each rank 2..6 in
     enumeration order: 20 matrices, deterministic across runs and platforms.
     """
-    from .propositions import enumerate_power_matrices
-    from .power_matrix import selection_rule
-
-    battery = []
-    for n in range(2, 7):
-        picked = 0
-        for chi in enumerate_power_matrices(n):
-            if selection_rule(chi):
-                battery.append(chi)
-                picked += 1
-                if picked == 4:
-                    break
-    return battery
+    return [
+        chi for n in range(2, 7) for chi in islice(filter(selection_rule, enumerate_power_matrices(n)), 4)
+    ]

@@ -3,12 +3,11 @@
 The lab-frame isotropic average of a molecular tensor T is
 out[i1..in] = sum over molecular tuples m of <l_{i1 m1} ... l_{in mn}> T[m].
 Molecular tuples sharing an exponent matrix contribute through a single
-exact average.  One numpy kernel per call (``_PairKernel``) encodes the
-exponent matrix of every (lab, mol) pair as an integer pair code, sums the
-stored components per code (floats in component order; exact values as
-integer numerators over one common denominator) and evaluates each distinct
-exponent matrix once per call.  The evaluator's orbit cache carries those
-values from call to call.
+exact average.  One numpy kernel per call (``_PairKernel``) sums the stored
+components per exponent matrix (floats in component order; exact values as
+integer numerators over one common denominator), evaluates each distinct
+matrix once, with the evaluator's cache, and in both modes sums one lab
+tuple per orbit of the six lab-axis relabelings, deriving the rest exactly.
 """
 
 from __future__ import annotations
@@ -199,13 +198,12 @@ class _PairKernel:
         self.positions = np.arange(n)
         mols = np.array(list(tensor.components), dtype=np.intp)
         mols = mols.reshape(len(tensor.components), n) - 1
-        scale = np.array([self.base ** (8 - j) for j in range(9)], dtype=np.int64).reshape(3, 3)
+        self.places = [self.base ** (8 - j) for j in range(9)]  # E in flat order
         # terms[k, i - 1] holds, per stored component, the code of pairing
         # lab axis i with the component's k-th molecular axis
-        self.terms = scale[:, mols.T].transpose(1, 0, 2)
+        self.terms = np.array(self.places, dtype=np.int64).reshape(3, 3)[:, mols.T].transpose(1, 0, 2)
         values = list(tensor.components.values())
         if self.exact:
-            # integer numerators over one common denominator
             self.denominator = lcm(*(v.denominator for v in values))
             numerators = [v.numerator * (self.denominator // v.denominator) for v in values]
             self.values = np.array(numerators, dtype=object)
@@ -216,17 +214,22 @@ class _PairKernel:
         """The exact average of the code's flat; a float in float mode, where it multiplies."""
         weight = self.weights.get(code)
         if weight is None:
-            rest, flat = code, [0] * 9
-            for j in range(8, -1, -1):
-                rest, flat[j] = divmod(rest, self.base)
-            weight = evaluate(PowerMatrix._trusted(tuple(flat)), self.cache)
+            flat = tuple(code // place % self.base for place in self.places)
+            weight = evaluate(PowerMatrix._trusted(flat), self.cache)
             if not self.exact:
                 weight = float(weight)
             self.weights[code] = weight
         return weight
 
-    def component(self, lab: IndexTuple):
-        """sum of <...> * T over the stored molecular tuples, for a validated lab tuple."""
+    def orbit(self, lab: IndexTuple):
+        """(image, value) for each relabeling of a validated lab tuple, the lab itself first.
+
+        An image's groups are the lab's, in the same component order, with
+        weights times sign**n, so float mode adds the lab's products again in
+        the image's own code order and negates (rounding commutes with it).
+        A float sum that overflows raises at the lab and is left out at the
+        other images, whose own orbit raises once the walk reaches them.
+        """
         codes = self.terms[self.positions, np.array(lab, dtype=np.intp) - 1].sum(axis=0)
         # add.at sums each group in component order, then the groups are
         # added in flat order: the order of a per-group Python sum
@@ -234,16 +237,25 @@ class _PairKernel:
         partials = np.zeros(len(codes), dtype=self.values.dtype)
         with np.errstate(over="ignore"):  # an overflow is reported below, naming the lab index
             np.add.at(partials, inverse, self.values)
-        total = Fraction(0) if self.exact else 0.0
-        for code, partial in zip(codes.tolist(), partials.tolist()):
-            weight = self._weight(code)
-            if weight:
-                total += weight * partial
+        weights = [self._weight(code) for code in codes.tolist()]
+        products = [weight * partial for weight, partial in zip(weights, partials.tolist()) if weight]
         if self.exact:
-            return total / self.denominator
-        if not isfinite(total):
-            raise ValueError(f"float overflow in the average at lab index {list(lab)}")
-        return total
+            total = sum(products, Fraction(0)) / self.denominator
+        else:  # exponent rows i = 1, 2, 3 of the nonzero-weight groups, at places[3i - 1] in a code
+            rows = codes[np.array(weights, dtype=bool)][:, None] // self.places[2::3] % self.places[5]
+        for relabel, sign in _RELABELINGS:
+            image = tuple([relabel[i] for i in lab])
+            if not self.exact:
+                # the image's code moves row i to places[3 relabel[i] - 1]; add in its order,
+                # in an explicit loop: builtin sum compensates from Python 3.12, np.sum adds pairwise
+                total = 0.0
+                for group in np.argsort(rows @ [self.places[3 * r - 1] for r in relabel[1:]]).tolist():
+                    total += products[group]
+            value = -total if sign < 0 and len(lab) & 1 else total
+            if self.exact or isfinite(value):
+                yield image, value
+            elif image == lab:
+                raise ValueError(f"float overflow in the average at lab index {list(lab)}")
 
 
 def average_component(lab_idx, tensor: DenseTensor, cache: Optional[ValueCache] = None):
@@ -254,7 +266,7 @@ def average_component(lab_idx, tensor: DenseTensor, cache: Optional[ValueCache] 
     convert the exact averages at the final multiply.
     """
     lab = _index_tuple(lab_idx, tensor.rank)
-    return _PairKernel(tensor, cache).component(lab)
+    return next(_PairKernel(tensor, cache).orbit(lab))[1]  # the lab's own image comes first
 
 
 def average_tensor(
@@ -265,36 +277,24 @@ def average_tensor(
     """Isotropic average of the whole tensor, all 3^rank lab components.
 
     Lab tuples whose axis counts already break the parity selection rule are
-    zero for every molecular tuple and are skipped without evaluation.
-    The average is invariant under rotations, so relabeling the lab axes by
-    a permutation p turns each component into sign(p)**rank times another.
-    Exact mode evaluates the first lab tuple of each orbit of the six
-    relabelings and fills in the others.  Float mode evaluates every lab
-    tuple: a relabeled tuple sums in another order, which can move the
-    last bit.
+    zero for every molecular tuple and are skipped without evaluation.  The
+    average is invariant under rotations, so relabeling the lab axes by a
+    permutation p turns each component into sign(p)**rank times another:
+    both modes evaluate one lab tuple per orbit and fill in the rest.
     """
     max_rank = _strict_int(max_rank, "max_rank", 0)
     n = tensor.rank
     _check_ceiling(n, max_rank)
     kernel = _PairKernel(tensor, cache)
     parity = n & 1
-    pending: dict[IndexTuple, object] = {}  # exact orbit values of labs not yet reached
+    pending: dict[IndexTuple, object] = {}  # orbit values of labs not yet reached
     out: dict[IndexTuple, object] = {}
     for lab in product((1, 2, 3), repeat=n):
-        counts = [0, 0, 0]
-        for i in lab:
-            counts[i - 1] += 1
-        if (counts[0] & 1) != parity or (counts[1] & 1) != parity or (counts[2] & 1) != parity:
+        if (lab.count(1) & 1) != parity or (lab.count(2) & 1) != parity or (lab.count(3) & 1) != parity:
             continue
-        if not kernel.exact:
-            value = kernel.component(lab)
-        else:
-            if lab not in pending:  # the orbit's first lab in product order
-                value = kernel.component(lab)
-                odd = -value if parity else value
-                for image, sign in _RELABELINGS:
-                    pending[tuple([image[i] for i in lab])] = value if sign > 0 else odd
-            value = pending.pop(lab)
+        if lab not in pending:  # the orbit's first lab in product order
+            pending.update(kernel.orbit(lab))
+        value = pending.pop(lab)
         if value:
             out[lab] = value
     return DenseTensor._trusted(n, tensor.mode, out)

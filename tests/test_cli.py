@@ -755,6 +755,21 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["compute", "--indices", "11,22,33", "--max-rank", "-1"],
+            ["enumerate", "-n", "0", "--max-rank", "-1", "--format", "csv"],
+            ["average", "{path}", "--max-rank", "-1"],
+        ],
+    )
+    def test_negative_max_rank_is_a_parse_error(self, capsys, tmp_path, argv):
+        # compute and enumerate once exited 3 ("exceeds the ceiling -1"), average 2
+        path = write_tensor(tmp_path, "s.json", {"rank": 0, "mode": "exact", "components": []})
+        code, err = run_failing(capsys, [arg.format(path=path) for arg in argv])
+        assert code == EXIT_PARSE
+        assert "--max-rank" in err and "at least 0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["compute", "--chi", "[[0,0,0],[0,0,0],[0,0,121]]"],
             ["enumerate", "-n", str(DEFAULT_ENUMERATE_LIMIT + 1)],
             ["verify", "--suite", "beta", "-n", str(DEFAULT_ENUMERATE_LIMIT + 1)],

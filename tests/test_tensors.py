@@ -69,17 +69,20 @@ def reference_average_tensor(tensor):
     return out
 
 
-def seeded_tensor(rank, mode, density, seed):
+def seeded_tensor(rank, mode, density, seed, wide=False):
     """A tensor with about density * 3^rank stored components and seeded values.
 
     Values come from small pools with opposite-signed pairs, so exponent
-    groups and whole lab components often cancel to zero.
+    groups and whole lab components often cancel to zero.  A wide float
+    pool adds values near 1e300 and subnormals.
     """
     rng = random.Random(seed)
     if mode == "exact":
         pool = [Fraction(p, q) for p in (-3, -1, 1, 2, 3) for q in (1, 2, 7)]
     else:
         pool = [0.1, -0.1, 0.3, -0.3, 1e-17, 2.5, -7.25]
+        if wide:
+            pool += [1e300, -1e300, 3.7e299, 5e-324, -5e-324, 2.5e-310]
     components = {}
     for idx in itertools.product((1, 2, 3), repeat=rank):
         if rng.random() < density:
@@ -332,30 +335,35 @@ class TestAverageTensor:
 
 
 class TestPairCodeKernel:
-    @given(**tensor_params(max_rank=6))
-    @example(rank=6, mode="exact", density=1.0, seed=1)
-    @example(rank=6, mode="float", density=1.0, seed=2)
-    @example(rank=6, mode="exact", density=0.05, seed=3)
-    @example(rank=5, mode="float", density=0.3, seed=4)
-    # odd exact ranks, where an odd relabeling negates the orbit's value
-    @example(rank=5, mode="exact", density=1.0, seed=5)
-    @example(rank=3, mode="exact", density=0.3, seed=6)
+    @given(**tensor_params(max_rank=6), wide=st.booleans())
+    @example(rank=6, mode="exact", density=1.0, seed=1, wide=False)
+    @example(rank=6, mode="float", density=1.0, seed=2, wide=False)
+    @example(rank=6, mode="exact", density=0.05, seed=3, wide=False)
+    @example(rank=5, mode="float", density=0.3, seed=4, wide=False)
+    # odd ranks, where an odd relabeling negates the orbit's value
+    @example(rank=5, mode="exact", density=1.0, seed=5, wide=False)
+    @example(rank=3, mode="exact", density=0.3, seed=6, wide=False)
+    @example(rank=5, mode="float", density=1.0, seed=7, wide=False)
+    @example(rank=7, mode="float", density=1.0, seed=8, wide=False)
+    # float values near the top of the range and below the normal range
+    @example(rank=6, mode="float", density=1.0, seed=9, wide=True)
+    @example(rank=5, mode="float", density=0.3, seed=10, wide=True)
     @settings(deadline=None, max_examples=30)
-    def test_matches_per_lab_reference(self, rank, mode, density, seed):
-        t = seeded_tensor(rank, mode, density, seed)
+    def test_matches_per_lab_reference(self, rank, mode, density, seed, wide):
+        t = seeded_tensor(rank, mode, density, seed, wide)
         # == also for floats: the kernel keeps the reference's summation order
         assert average_tensor(t).components == reference_average_tensor(t)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_exact_mode_evaluates_one_lab_per_relabeling_orbit(self, monkeypatch, mode):
+    def test_both_modes_evaluate_one_lab_per_relabeling_orbit(self, monkeypatch, mode):
         evaluated = []
-        component = rotavg.tensors._PairKernel.component
+        orbit = rotavg.tensors._PairKernel.orbit
 
         def counted(kernel, lab):
             evaluated.append(lab)
-            return component(kernel, lab)
+            return orbit(kernel, lab)
 
-        monkeypatch.setattr(rotavg.tensors._PairKernel, "component", counted)
+        monkeypatch.setattr(rotavg.tensors._PairKernel, "orbit", counted)
         t = seeded_tensor(4, mode, 1.0, seed=7)
         out = average_tensor(t)
         passing = [lab for lab in DenseTensor.index_space(4) if all(lab.count(axis) % 2 == 0 for axis in (1, 2, 3))]
@@ -366,12 +374,10 @@ class TestPairCodeKernel:
             names = {}
             return tuple(names.setdefault(axis, len(names)) for axis in lab)
 
-        if mode == "exact":
-            # (1,1,1,1), (1,1,2,2), (1,2,1,2) and (1,2,2,1), of 21 passing labs
-            assert len(evaluated) == len({orbit_name(lab) for lab in passing}) == 4
-            assert len({orbit_name(lab) for lab in evaluated}) == 4
-        else:
-            assert evaluated == passing
+        # (1,1,1,1), (1,1,2,2), (1,2,1,2) and (1,2,2,1), of 21 passing labs
+        assert len(passing) == 21
+        assert len(evaluated) == len({orbit_name(lab) for lab in passing}) == 4
+        assert len({orbit_name(lab) for lab in evaluated}) == 4
         assert out.components == reference_average_tensor(t)
 
     @given(**tensor_params(max_rank=4))
