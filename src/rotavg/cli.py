@@ -105,15 +105,12 @@ def _parse_chi(text: str) -> PowerMatrix:
 def _parse_indices(text: str) -> PowerMatrix:
     """Lab/molecular digit pairs like "11,23,32"; whitespace ignored."""
     stripped = "".join(text.split())
-    labs: list[int] = []
-    mols: list[int] = []
-    if stripped:
-        for token in stripped.split(","):
-            if not re.fullmatch(r"[0-9]{2}", token):
-                raise ValueError(f"bad index pair {token!r}; expected two digits like '23'")
-            labs.append(int(token[0]))
-            mols.append(int(token[1]))
-    return from_multi_index(MultiIndex(tuple(labs), tuple(mols)))
+    tokens = stripped.split(",") if stripped else []
+    for token in tokens:
+        if not re.fullmatch(r"[0-9]{2}", token):
+            raise ValueError(f"bad index pair {token!r}; expected two digits like '23'")
+    labs, mols = (tuple(int(token[k]) for token in tokens) for k in (0, 1))
+    return from_multi_index(MultiIndex(labs, mols))
 
 
 def _output_record(chi: PowerMatrix, cache: ValueCache) -> dict:
@@ -145,34 +142,11 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-# How `average` renders one value, by tensor mode.  Exact values are
-# Fractions, whose str is the ASCII -?[0-9]+(/[0-9]+)? of format_rational;
-# float values are finite Python floats, whose repr is their JSON number.
-# Neither needs escaping.
-_AVERAGE_VALUE_TEMPLATES = {"exact": '"%s"', "float": "%r"}
-
-
-def _render_average(tensor: DenseTensor, nonzero_only: bool) -> str:
-    """json.dumps(tensor.to_json_obj(nonzero_only), indent=2), from one record template."""
-    axes = ",\n".join(["        %d"] * tensor.rank)
-    record = (
-        "    {\n"
-        + ('      "idx": [\n' + axes + "\n      ],\n" if axes else '      "idx": [],\n')
-        + '      "value": ' + _AVERAGE_VALUE_TEMPLATES[tensor.mode] + "\n"
-        "    }"
-    )
-    records = ",\n".join([record % (*idx, value) for idx, value in tensor._items(nonzero_only)])
-    components = "[\n" + records + "\n  ]" if records else "[]"
-    return '{\n  "rank": %d,\n  "mode": "%s",\n  "components": %s\n}' % (
-        tensor.rank, tensor.mode, components,
-    )
-
-
 def _cmd_average(args) -> int:
     with open(args.tensor_file, "r", encoding="utf-8") as handle:
         tensor = DenseTensor.from_json_obj(_load_json(handle.read(), "tensor file"))
     averaged = average_tensor(tensor, max_rank=args.max_rank, cache=_cache_from_env())
-    payload = _render_average(averaged, args.nonzero_only)
+    payload = averaged.to_json_text(args.nonzero_only)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")

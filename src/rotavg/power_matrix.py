@@ -298,8 +298,9 @@ def is_orbit_minimum(flat: Flat) -> bool:
     Stops at the first smaller image, so it is much cheaper than
     :func:`canonical_flat` on the many flats that are not minima.
     """
-    if flat[0] != min(flat):
-        return False  # some image moves the smallest entry to the front
+    # a smaller image moves the minimum to the front, or keeps flat[0]: swap cols 1-2, rows 1-2, transpose
+    if flat[0] != min(flat) or flat[1] > flat[2] or flat[3] > flat[6] or flat[1] > flat[3]:
+        return False
     for src, _ in _FLAT_OPS:
         if (
             flat[src[0]], flat[src[1]], flat[src[2]],

@@ -3,8 +3,8 @@
 import re
 from fractions import Fraction
 
-# ASCII digits only; integers render without the "/1"; denominators are positive
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[1-9][0-9]*)?$")
+# what format_rational writes: ASCII digits, no "+", no "/1", a positive denominator
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def format_rational(value) -> str:
@@ -15,10 +15,9 @@ def format_rational(value) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q" literal produced by :func:`format_rational`.
 
-    Rejects floats, decimals and zero denominators so that exact values can
-    never be silently truncated on the way in.
+    Rejects non-strings, floats, decimals, zero denominators, "+" and padding
+    with ValueError, so exact values are never silently truncated on the way in.
     """
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(s)
+    return Fraction(text)

@@ -8,6 +8,8 @@ components per exponent matrix (floats in component order; exact values as
 integer numerators over one common denominator), evaluates each distinct
 matrix once, with the evaluator's cache, and in both modes sums one lab
 tuple per orbit of the six lab-axis relabelings, deriving the rest exactly.
+The tensor file format lives here too: ``DenseTensor.from_json_obj`` reads
+it and ``DenseTensor.to_json_text`` writes it, as ``rotavg average`` does.
 """
 
 from __future__ import annotations
@@ -73,6 +75,23 @@ def _index_tuple(idx, rank: int) -> IndexTuple:
     return idx
 
 
+def _checked_components(pairs, rank: int, mode: str) -> dict[IndexTuple, object]:
+    """Validated components from (index, value) pairs, every check in one pass in pair order.
+
+    An index may appear once, also with a zero value; zeros are dropped last,
+    keeping the order of the rest (float averages add in component order).
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    components = {}
+    for idx, value in pairs:
+        idx = _index_tuple(idx, rank)
+        if idx in components:
+            raise ValueError(f"duplicate index tuple {list(idx)}")
+        components[idx] = _coerce_value(value, mode)
+    return {idx: value for idx, value in components.items() if value}
+
+
 @dataclass
 class DenseTensor:
     """Rank-n tensor over one-based index tuples; omitted components are zero."""
@@ -83,26 +102,17 @@ class DenseTensor:
 
     def __post_init__(self):
         self.rank = _strict_int(self.rank, "tensor rank", 0)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         if not isinstance(self.components, Mapping):
             raise ValueError("components must map index tuples to values")
-        cleaned = {}
-        for idx, value in self.components.items():
-            idx = _index_tuple(idx, self.rank)
-            value = _coerce_value(value, self.mode)
-            if value:
-                cleaned[idx] = value
-        self.components = cleaned
+        self.components = _checked_components(self.components.items(), self.rank, self.mode)
 
     @classmethod
     def _trusted(cls, rank: int, mode: str, components: dict) -> "DenseTensor":
         """Wrap components without validating them.
 
-        Only for results the package computed itself: one-based index tuples
-        of length rank mapped to nonzero values of the mode's type (Fraction
-        for exact, a finite Python float for float).  Every outside input
-        goes through the validating constructor.
+        Only for the package's own results and _checked_components's: one-based
+        index tuples of length rank mapped to nonzero values of the mode's type
+        (Fraction for exact, a finite Python float for float).
         """
         tensor = object.__new__(cls)
         tensor.rank, tensor.mode, tensor.components = rank, mode, components
@@ -135,6 +145,24 @@ class DenseTensor:
         records = [{"idx": list(idx), "value": render(value)} for idx, value in self._items(nonzero_only)]
         return {"rank": self.rank, "mode": self.mode, "components": records}
 
+    def to_json_text(self, nonzero_only: bool = False) -> str:
+        """json.dumps(self.to_json_obj(nonzero_only), indent=2), from one record template."""
+        # Exact values are Fractions, whose str is the ASCII -?[0-9]+(/[0-9]+)?
+        # of format_rational; float values are finite Python floats, whose repr
+        # is their JSON number.  Neither needs escaping.
+        axes = ",\n".join(["        %d"] * self.rank)
+        record = (
+            "    {\n"
+            + ('      "idx": [\n' + axes + "\n      ],\n" if axes else '      "idx": [],\n')
+            + '      "value": ' + ('"%s"' if self.mode == "exact" else "%r") + "\n"
+            "    }"
+        )
+        records = ",\n".join([record % (*idx, value) for idx, value in self._items(nonzero_only)])
+        components = "[\n" + records + "\n  ]" if records else "[]"
+        return '{\n  "rank": %d,\n  "mode": "%s",\n  "components": %s\n}' % (
+            self.rank, self.mode, components,
+        )
+
     @classmethod
     def from_json_obj(cls, obj) -> "DenseTensor":
         if not isinstance(obj, dict):
@@ -147,15 +175,13 @@ class DenseTensor:
             raise ValueError(f"tensor file misses or mangles a required field: {exc}") from exc
         if not isinstance(records, list):
             raise ValueError("'components' must be a list")
-        components: dict[IndexTuple, object] = {}
-        for record in records:
-            if not isinstance(record, dict) or "idx" not in record or "value" not in record:
-                raise ValueError(f"bad component record: {record!r}")
-            idx = _index_tuple(record["idx"], rank)
-            if idx in components:
-                raise ValueError(f"duplicate index tuple {list(idx)}")
-            components[idx] = record["value"]
-        return cls(rank=rank, mode=mode, components=components)
+
+        def pairs():  # each record's (idx, value), checked as the loop reaches it
+            for record in records:
+                if not isinstance(record, dict) or "idx" not in record or "value" not in record:
+                    raise ValueError(f"bad component record: {record!r}")
+                yield record["idx"], record["value"]
+        return cls._trusted(rank, mode, _checked_components(pairs(), rank, mode))
 
 
 @dataclass(frozen=True)

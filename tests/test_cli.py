@@ -23,7 +23,6 @@ from rotavg.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_PARSE,
-    _render_average,
     build_parser,
     main,
 )
@@ -484,7 +483,7 @@ class TestAverageRender:
         for tensor in rendered_tensors(rank, mode):
             for nonzero_only in (False, True):
                 expected = json.dumps(tensor.to_json_obj(nonzero_only), indent=2)
-                assert _render_average(tensor, nonzero_only) == expected
+                assert tensor.to_json_text(nonzero_only) == expected
 
 
 class TestVerify:

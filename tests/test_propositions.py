@@ -27,7 +27,7 @@ from rotavg import (
     verify_odd_rule,
     verify_prime_nonvanishing,
 )
-from rotavg.power_matrix import _selection_flat, canonical_flat
+from rotavg.power_matrix import _FLAT_OPS, _selection_flat, canonical_flat
 from rotavg import evaluator
 from rotavg.propositions import canonical_representatives
 
@@ -70,6 +70,32 @@ class TestEnumeration:
 
     def test_count_formula_at_rank_14(self):
         assert sum(1 for _ in enumerate_power_matrices(14)) == comb(22, 8)
+
+    def test_representative_counts_match_burnside(self):
+        # Burnside: orbits = (1/72) sum over ops g of the flats g fixes.  A
+        # flat is fixed iff it is constant on each cycle of g's source map,
+        # so fix_n(g) counts the ways to write n as a sum of cycle lengths
+        # times nonnegative counts: coin change, without is_orbit_minimum
+        top = 14
+        total = [0] * (top + 1)
+        for src, _ in _FLAT_OPS:
+            lengths, seen = [], set()
+            for start in range(9):
+                k, length = start, 0
+                while k not in seen:
+                    seen.add(k)
+                    k, length = src[k], length + 1
+                if length:
+                    lengths.append(length)
+            ways = [1] + [0] * top
+            for length in lengths:
+                for m in range(length, top + 1):
+                    ways[m] += ways[m - length]
+            total = [t + w for t, w in zip(total, ways)]
+        assert len(_FLAT_OPS) == 72 and all(t % 72 == 0 for t in total)
+        burnside = [t // 72 for t in total]
+        assert burnside == [1, 1, 3, 7, 16, 32, 68, 126, 238, 422, 730, 1214, 1984, 3128, 4848]
+        assert [len(canonical_representatives(n)) for n in range(top + 1)] == burnside
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_orbit_sizes_partition_the_rank(self, n):

@@ -20,7 +20,12 @@ def test_round_trip_is_identity(p, q):
     assert parse_rational(format_rational(value)) == value
 
 
-@pytest.mark.parametrize("bad", ["1.5", "a/b", "1/0", "2/-3", "", "1e3", "\u0663/4", "\uff13"])
+@pytest.mark.parametrize(
+    "bad",
+    # "+1/2" and the padded forms were once read as 1/2; 5 and None raised AttributeError
+    ["1.5", "a/b", "1/0", "2/-3", "", "1e3", "\u0663/4", "\uff13",
+     "+1/2", " 1/2", "1/2\n", "\u20031/2", 5, None],
+)
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -188,6 +188,28 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             DenseTensor.from_json_obj(obj)
 
+    def test_a_zero_value_still_claims_its_index(self):
+        obj = {"rank": 1, "mode": "exact", "components": [{"idx": [1], "value": "0"}, {"idx": [1], "value": "2"}]}
+        with pytest.raises(ValueError, match=r"^duplicate index tuple \[1\]$"):
+            DenseTensor.from_json_obj(obj)
+
+    def test_reader_checks_each_record_once_in_file_order(self, monkeypatch):
+        # every record passes one loop: each index is read once, zero values
+        # are dropped and the rest keep the file's order
+        calls = []
+        index_tuple = rotavg.tensors._index_tuple
+
+        def counting(idx, rank):
+            calls.append(idx)
+            return index_tuple(idx, rank)
+
+        monkeypatch.setattr(rotavg.tensors, "_index_tuple", counting)
+        pairs = [([3, 1], "1/2"), ([1, 2], 0), ([2, 2], "-3"), ([1, 1], "0"), ([2, 3], 4)]
+        records = [{"idx": idx, "value": value} for idx, value in pairs]
+        t = DenseTensor.from_json_obj({"rank": 2, "mode": "exact", "components": records})
+        assert calls == [idx for idx, _ in pairs]
+        assert list(t.components.items()) == [((3, 1), Fraction(1, 2)), ((2, 2), -3), ((2, 3), 4)]
+
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError):
             DenseTensor.from_json_obj({"rank": 1})
