@@ -13,6 +13,7 @@ values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -28,7 +29,7 @@ from .power_matrix import (
     from_multi_index,
     selection_rule,
 )
-from .propositions import RANK8_EXCEPTION, RANK9_EXCEPTION, _rank_checks, rank_table
+from .propositions import RANK8_EXCEPTION, RANK9_EXCEPTION, _rank_checks, _table_blocks, rank_table
 from .rationals import format_rational
 from .tensors import DEFAULT_MAX_RANK, DenseTensor, RankLimitError, _check_ceiling, average_tensor
 
@@ -155,40 +156,69 @@ def _cmd_average(args) -> int:
     return EXIT_OK
 
 
-# Each format's header, row head (the matrix) and row tail (rank, value,
+# Each format's header, then a row's three parts: the matrix prefix
+# (f0..f4), the matrix suffix (f5..f8) and the tail (rank, value,
 # value_float).  Every field is an int, an ASCII -?[0-9]+(/[0-9]+)? string or
 # a finite float; json.dumps and csv.writer (QUOTE_MINIMAL) neither quote nor
 # escape any of these, so the templates give the bytes those writers would.
 _ENUMERATE_TEMPLATES = {
     "json": (
         "",
-        '{"chi": [[%d, %d, %d], [%d, %d, %d], [%d, %d, %d]], ',
+        '{"chi": [[%d, %d, %d], [%d, %d, ',
+        '%d], [%d, %d, %d]], ',
         '"rank": %d, "value": "%s", "value_float": %r}\n',
     ),
-    "csv": ("Q,R,S,T,U,V,W,X,Y,rank,value,value_float\n", "%d,%d,%d,%d,%d,%d,%d,%d,%d,", "%d,%s,%r\n"),
+    "csv": (
+        "Q,R,S,T,U,V,W,X,Y,rank,value,value_float\n",
+        "%d,%d,%d,%d,%d,",
+        "%d,%d,%d,%d,",
+        "%d,%s,%r\n",
+    ),
 }
 
 
 def _cmd_enumerate(args) -> int:
-    if args.rank < 0:  # before the csv header goes out
-        raise ValueError(f"rank must be nonnegative, got {args.rank}")
-    _check_ceiling(args.rank, args.max_rank)
-    rows = rank_table(
-        args.rank, cache=_cache_from_env(), nonzero=args.nonzero, canonical_only=args.canonical
-    )
-    header, head, tail = _ENUMERATE_TEMPLATES[args.format]
-    # Each row is its matrix followed by a tail that depends only on the
-    # value; the tail is rendered once per value object.  Rows share a few
+    n = args.rank
+    if n < 0:  # before the csv header goes out
+        raise ValueError(f"rank must be nonnegative, got {n}")
+    _check_ceiling(n, args.max_rank)
+    suffixes, blocks = _table_blocks(n, _cache_from_env(), args.canonical)
+    header, head, middle, tail = _ENUMERATE_TEMPLATES[args.format]
+    # per remainder, each suffix's text followed by a zero row's tail; a full
+    # block is its prefix's text joined with these, and a nonzero row swaps
+    # in its own tail
+    zero_tail = tail % (n, format_rational(0), 0.0)
+    zero_pieces = [[middle % s + zero_tail for s in same_r] for same_r in suffixes]
+    cut = -len(zero_tail)
+    full = not (args.nonzero or args.canonical)
+    # A tail is rendered once per value object.  Rows share a few
     # value objects, and keying by id() skips Fraction.__hash__; each entry
     # keeps its object alive, so an id is never reused meanwhile.
     tails: dict = {}
-    write = sys.stdout.write
-    write(header)
-    for chi, value in rows:
+
+    def render(value) -> str:
         entry = tails.get(id(value))
         if entry is None:
-            entry = tails[id(value)] = (value, tail % (args.rank, format_rational(value), float(value)))
-        write(head % chi.flat + entry[1])
+            entry = tails[id(value)] = (value, tail % (n, format_rational(value), float(value)))
+        return entry[1]
+
+    write = sys.stdout.write
+    write(header)
+    for prefix, r, rows in blocks:  # one write per block
+        head_text = head % prefix
+        pieces = zero_pieces[r]
+        if full:
+            if rows:
+                pieces = pieces.copy()
+                for i, value in rows:
+                    pieces[i] = pieces[i][:cut] + render(value)
+            write(head_text + head_text.join(pieces))
+        else:
+            kept = [
+                head_text + pieces[i][:cut] + render(value) for i, value in rows if value or not args.nonzero
+            ]
+            if kept:
+                write("".join(kept))
     return EXIT_OK
 
 
@@ -361,8 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call, not at import; one build costs about 15 parses
+_shared_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe then raises here, not at exit

@@ -57,15 +57,82 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(sub, cuts + tail, head + cuts))
 
 
+# The walks below split each flat into a 5-entry prefix (f0..f4) and a
+# 4-entry suffix (f5..f8).  The prefixes of rank n are the first five parts
+# of the 6-part compositions of n, whose last part r is what the suffix must
+# sum to; walking prefixes in lexicographic order, and each prefix's block of
+# suffixes in lexicographic order, visits the flats in lexicographic order.
+# A flat's parity signature has bit k set when row k (k < 3) or column k - 3
+# has an odd sum; the selection rule holds iff every bit equals the rank's
+# parity, and the signature is the prefix's XOR the suffix's.
+
+
+def _suffix_lists(n: int) -> list[list[Flat]]:
+    """Per remainder r in 0..n, the suffixes summing to r in lexicographic order.
+
+    binom(n+4, 4) tuples in all, built before the first block: a small share
+    of the binom(n+8, 8) flats a full walk of rank n visits.
+    """
+    return [list(_compositions(r, 4)) for r in range(n + 1)]
+
+
+def _prefix_signature(f0: int, f1: int, f2: int, f3: int, f4: int) -> int:
+    return (
+        (f0 + f1 + f2) & 1
+        | ((f3 + f4) & 1) << 1
+        | ((f0 + f3) & 1) << 3
+        | ((f1 + f4) & 1) << 4
+        | (f2 & 1) << 5
+    )
+
+
+def _suffix_signature(f5: int, f6: int, f7: int, f8: int) -> int:
+    return (f5 & 1) << 1 | ((f6 + f7 + f8) & 1) << 2 | (f6 & 1) << 3 | (f7 & 1) << 4 | ((f5 + f8) & 1) << 5
+
+
+def _selection_target(n: int) -> int:
+    """The signature the selection rule asks for: every bit the parity of n."""
+    return 0b111111 if n & 1 else 0
+
+
 def enumerate_power_matrices(n: int) -> Iterator[PowerMatrix]:
     """All rank-n exponent matrices exactly once, in lexicographic flat order."""
-    for flat in _compositions(n, 9):
-        yield PowerMatrix._trusted(flat)
+    suffixes = _suffix_lists(_strict_int(n, "rank", 0))
+    for composition in _compositions(n, 6):
+        prefix = composition[:5]
+        for tail in suffixes[composition[5]]:
+            yield PowerMatrix._trusted(prefix + tail)
+
+
+def _minima_blocks(n: int, suffixes: list[list[Flat]]) -> Iterator[tuple[Flat, int, list[int]]]:
+    """(prefix, r, positions in suffixes[r]) for every prefix block holding an orbit minimum.
+
+    A minimum's first entry is its least, and the swaps that keep f0 in
+    place (columns 1-2, rows 1-2, the transpose) ask f1 <= f2, f3 <= f6 and
+    f1 <= f3; only the flats meeting these go through is_orbit_minimum.
+    """
+    for composition in _compositions(n, 6):
+        f0, f1, f2, f3, f4, r = composition
+        if f0 > f1 or f1 > f2 or f1 > f3 or f0 > f4 or 4 * f0 > r:
+            continue
+        prefix = composition[:5]
+        positions = [
+            i
+            for i, tail in enumerate(suffixes[r])
+            if tail[1] >= f3 and (not f0 or min(tail) >= f0) and is_orbit_minimum(prefix + tail)
+        ]
+        if positions:
+            yield prefix, r, positions
 
 
 def canonical_representatives(n: int) -> list[PowerMatrix]:
     """The orbit-minimal matrices of rank n, in lexicographic order."""
-    return [PowerMatrix._trusted(flat) for flat in filter(is_orbit_minimum, _compositions(n, 9))]
+    suffixes = _suffix_lists(_strict_int(n, "rank", 0))
+    return [
+        PowerMatrix._trusted(prefix + suffixes[r][i])
+        for prefix, r, positions in _minima_blocks(n, suffixes)
+        for i in positions
+    ]
 
 
 @dataclass
@@ -209,6 +276,71 @@ def first_order_term(chi: PowerMatrix) -> Fraction:
     return Fraction(num * bracket, double_factorial(n))
 
 
+def _table_blocks(
+    n: int, cache: ValueCache, canonical_only: bool = False
+) -> tuple[list[list[Flat]], Iterator[tuple[Flat, int, list[tuple[int, Fraction]]]]]:
+    """The rank-n table walk, one prefix block at a time.
+
+    Returns the suffix lists, per remainder r, and an iterator of blocks
+    (prefix, r, rows): the flats of a block are prefix + suffixes[r][i] in
+    order of i, and rows pairs positions i with values.  In the full walk,
+    rows holds the selection-passing flats and every other flat is zero;
+    with ``canonical_only`` it holds the orbit minima, the only flats kept.
+    The full walk meets each orbit first at its minimum; it evaluates there
+    and holds the signed value of every image still ahead, popping each when
+    the walk reaches it, so the rows of one orbit share value objects.
+    """
+    n = _strict_int(n, "rank", 0)
+    suffixes = _suffix_lists(n)
+    walk = _minima_rows if canonical_only else _full_rows
+    return suffixes, walk(n, cache, suffixes)
+
+
+def _full_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
+    target = _selection_target(n)
+    passing = []  # per r: signature -> positions of the suffixes with it
+    for tails in suffixes:
+        by_signature: dict[int, list[int]] = {}
+        for i, tail in enumerate(tails):
+            by_signature.setdefault(_suffix_signature(*tail) ^ target, []).append(i)
+        passing.append(by_signature)
+    # the map holds thousands of images at rank 12, and a 9-byte key takes
+    # about a third of the memory of a 9-tuple; bytes() takes entries < 256
+    key = bytes if n < 256 else tuple
+    ahead: dict = {}
+    for composition in _compositions(n, 6):
+        prefix, r = composition[:5], composition[5]
+        tails = suffixes[r]
+        rows = []
+        for i in passing[r].get(_prefix_signature(*prefix), ()):
+            flat = prefix + tails[i]
+            value = ahead.pop(key(flat), None)
+            if value is None:  # an orbit's first flat is its minimum
+                signs = orbit_signs(flat)
+                exact = evaluate(PowerMatrix._trusted(flat), cache)
+                values = (_ZERO, exact, -exact)  # by sign 0, 1, -1
+                value = values[signs.pop(flat)]
+                for image, sign in signs.items():
+                    ahead[key(image)] = values[sign]
+            rows.append((i, value))
+        yield prefix, r, rows
+
+
+def _minima_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
+    target = _selection_target(n)
+    for prefix, r, positions in _minima_blocks(n, suffixes):
+        tails = suffixes[r]
+        want = _prefix_signature(*prefix) ^ target
+        rows = []
+        for i in positions:
+            tail = tails[i]
+            value = _ZERO  # every zero row holds this one object
+            if _suffix_signature(*tail) == want:
+                value = evaluate(PowerMatrix._trusted(prefix + tail), cache) or _ZERO
+            rows.append((i, value))
+        yield prefix, r, rows
+
+
 def rank_table(
     n: int,
     cache: Optional[ValueCache] = None,
@@ -219,27 +351,21 @@ def rank_table(
     """All rank-n matrices with their exact averages, in lexicographic order.
 
     Values match :func:`rotavg.evaluator.evaluate` exactly, which runs once
-    per selection-passing orbit.  The walk meets each orbit first at its
-    minimum; it evaluates there and holds the signed value of every image
-    still ahead, popping each when the walk reaches it.  ``canonical_only``
-    keeps only the minima.  Rows of one orbit share value objects.
-    ``threads`` is accepted for compatibility and ignored.
+    per selection-passing orbit.  ``canonical_only`` keeps only the orbit
+    minima.  Rows of one orbit share value objects.  The rows are those of
+    :func:`_table_blocks`, flattened.  ``threads`` is accepted for
+    compatibility and ignored.
     """
     cache = cache if cache is not None else ValueCache()
-    ahead: dict[Flat, Fraction] = {}
-    for flat in _compositions(n, 9):
-        value = ahead.pop(flat, None)
-        # an image held in ahead follows its orbit's minimum, so it is no minimum
-        if canonical_only and (value is not None or not is_orbit_minimum(flat)):
-            continue
-        if value is None and _selection_flat(flat):
-            signs = orbit_signs(flat)
-            exact = evaluate(PowerMatrix._trusted(flat), cache)
-            values = (_ZERO, exact, -exact)  # by sign 0, 1, -1
-            value = values[signs.pop(flat)]
-            for image, sign in signs.items():
-                ahead[image] = values[sign]
-        elif value is None:
-            value = _ZERO
-        if not nonzero or value:
-            yield PowerMatrix._trusted(flat), value
+    suffixes, blocks = _table_blocks(n, cache, canonical_only)
+    trusted = PowerMatrix._trusted
+    for prefix, r, rows in blocks:
+        tails = suffixes[r]
+        if nonzero or canonical_only:
+            for i, value in rows:
+                if not nonzero or value:
+                    yield trusted(prefix + tails[i]), value
+        else:
+            values = dict(rows)
+            for i, tail in enumerate(tails):
+                yield trusted(prefix + tail), values.get(i, _ZERO)

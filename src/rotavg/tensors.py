@@ -53,8 +53,10 @@ def _check_ceiling(rank: int, ceiling: int, name: str = "ceiling") -> None:
 
 
 def _coerce_value(value, mode: str):
+    if isinstance(value, bool):  # a bool is an int, but true is no tensor value
+        raise ValueError(f"tensor values are numbers, not booleans: {value!r}")
     if mode == "exact":
-        if isinstance(value, bool) or isinstance(value, float):
+        if isinstance(value, float):
             raise ValueError("exact tensors take integers or 'p/q' strings, not floats")
         if isinstance(value, str):
             return parse_rational(value)
@@ -62,7 +64,7 @@ def _coerce_value(value, mode: str):
             return Fraction(value)
         raise ValueError(f"cannot read exact value {value!r}")
     # NaN, infinities and ints beyond the float range all fail the bound
-    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= float_info.max:
+    if not isinstance(value, Real) or not abs(value) <= float_info.max:
         raise ValueError("float tensors take finite numbers")
     return float(value)
 

@@ -166,6 +166,12 @@ class TestEnumerate:
         code, _ = run_cli(capsys, "enumerate", "-n", "9", "--max-rank", "8")
         assert code == EXIT_LIMIT
 
+    def test_main_builds_its_parser_once(self, capsys):
+        for rank in ("0", "1"):
+            assert run_cli(capsys, "enumerate", "-n", rank)[0] == EXIT_OK
+        assert rotavg.cli._shared_parser.cache_info().misses == 1
+        assert build_parser() is not build_parser()
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("canonical", [False, True])
     @pytest.mark.parametrize("nonzero", [False, True])
@@ -671,6 +677,65 @@ ENUMERATE_NONZERO_SHA256 = {
 }
 
 
+# the benchmark's forms are json and canonical csv; the other two unfiltered
+# forms, captured before enumerate rendered in prefix blocks: rank ->
+# (--format csv, --canonical)
+ENUMERATE_OTHER_SHA256 = {
+    0: (
+        "b0b0fcccfd996e92712af568a8381b630232492a9b8cd6e18b987bcf197752be",
+        "fc4cfb9732c218889f00d5a38cbe645ea59a06b4edfebe9d1b8ea2d097b4391f",
+    ),
+    1: (
+        "6b85050444b7fa7f0bc25049109ac7c6f07eda418988df58357c934d50f08d2c",
+        "af450d5a020450a4d12a51efeb9bc712968ce4703799ca040ad0313278f31f29",
+    ),
+    2: (
+        "d28b689d27032e5eae1e22495268032e3e066d79feaa32b4254b48fb5386514e",
+        "981ec77f43a83ed5e87b90ea6fed3f0a2b8a96c8cd3dde8c43d01ba83d502224",
+    ),
+    3: (
+        "dd0a5f9e0f69e44e4fe5db372b39dfbef568cced94e958302fba75102f3c1c53",
+        "fcdaae65e26a7798aa4af32a2f289f23e5bb3322775e59dbe3cbb8fcdc06de14",
+    ),
+    4: (
+        "2181ed9a81df9d6ac7347ecb97d81d66598ccfb6aa33ab89f1d28052e68c46da",
+        "2bc42231292dfe5ca911b795bf908bdf0b8f5c78a36d95239a57db517376762f",
+    ),
+    5: (
+        "8c5873e2be91e360f95fc7ffaf8297ffb97242dd23fbed17ccc14a6ef3eb5c31",
+        "2f60c7607008c8082db494976cf954441466c0571e9c705e408234f93cdff647",
+    ),
+    6: (
+        "640ce4b10cd06f23ba0bdea7f292627dbc9316e6593823c1143ed46981d6c79d",
+        "996304ac929a1a74501c80584bc7eb9f605e7376b11fff95ca9e11877976a4a6",
+    ),
+    7: (
+        "9afdc42778a66eb2a289b8036cd8363706a5f8a180fcc9b129c60f59c7c137fe",
+        "b9919b3028a135ba99e46121e97ef4b921b3c4f593dd1921b78e94ab446f6adb",
+    ),
+    8: (
+        "b3dbd3467e103ab1e2ed7a76809a4b9ad0b5fdd05743f5be19bfdf3c8f29e99f",
+        "b833ae46a2afd09c1d380b970527e228aeb6e94695df12950424c19d599a93c8",
+    ),
+    9: (
+        "eaf294b45bd69119611ae5096d87d6c829113cd7ce658a7eb3e5a66dfbfcf2ef",
+        "d957720765e10a25fe49b6fb3294c9ca9e4d7ca2e3a84dc7c325c0b910bc54e7",
+    ),
+    10: (
+        "342d1afd324c741d764673d72d1ac54fb359dd4da547050a96440a9c55bfb013",
+        "d33342743a7a5261caa6e5aa30be1ca353d7ddc1065d7386c0cd3293681aa054",
+    ),
+    11: (
+        "e74bdc366c969aeaff2540263b1a548f2105fd5f13332edb0c23e7a4e25eb417",
+        "b6d101c52c172dc455b59d902587683507527272db90d5a208aa78bf4689bfde",
+    ),
+    12: (
+        "4abc753e5f6a98544f93e2ba2ae6de2e122cd8e3c136ee0ea17a6fb325d1a40d",
+        "f5bf39f6dd9eb2039eabf558dddcc540daab16c6236a7acd5cc2e43be93c66d1",
+    ),
+}
+
+
 class TestEnumerateGolden:
     """The benchmark's enumerate digests, read and never written here."""
 
@@ -696,6 +761,15 @@ class TestEnumerateGolden:
         assert code == EXIT_OK
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == ENUMERATE_NONZERO_SHA256[rank][canonical]
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["csv", "canonical-json"])
+    @pytest.mark.parametrize("rank", range(13))
+    def test_other_stdout_digest(self, capsys, form, rank):
+        flags = [["--format", "csv"], ["--canonical"]][form]
+        code, out = run_cli(capsys, "enumerate", "-n", str(rank), *flags)
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == ENUMERATE_OTHER_SHA256[rank][form]
 
 
 def run_failing(capsys, argv):

@@ -29,7 +29,14 @@ from rotavg import (
 )
 from rotavg.power_matrix import _FLAT_OPS, _selection_flat, canonical_flat
 from rotavg import evaluator
-from rotavg.propositions import canonical_representatives
+from rotavg.propositions import (
+    _compositions,
+    _prefix_signature,
+    _selection_target,
+    _suffix_signature,
+    _table_blocks,
+    canonical_representatives,
+)
 
 
 class TestEnumeration:
@@ -76,7 +83,7 @@ class TestEnumeration:
         # flat is fixed iff it is constant on each cycle of g's source map,
         # so fix_n(g) counts the ways to write n as a sum of cycle lengths
         # times nonnegative counts: coin change, without is_orbit_minimum
-        top = 14
+        top = 16
         total = [0] * (top + 1)
         for src, _ in _FLAT_OPS:
             lengths, seen = [], set()
@@ -94,13 +101,36 @@ class TestEnumeration:
             total = [t + w for t, w in zip(total, ways)]
         assert len(_FLAT_OPS) == 72 and all(t % 72 == 0 for t in total)
         burnside = [t // 72 for t in total]
-        assert burnside == [1, 1, 3, 7, 16, 32, 68, 126, 238, 422, 730, 1214, 1984, 3128, 4848]
+        assert burnside == [1, 1, 3, 7, 16, 32, 68, 126, 238, 422, 730, 1214, 1984, 3128, 4848, 7330, 10891]
         assert [len(canonical_representatives(n)) for n in range(top + 1)] == burnside
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_orbit_sizes_partition_the_rank(self, n):
         total = sum(len(orbit(chi)) for chi in canonical_representatives(n))
         assert total == enumeration_count(n)
+
+
+class TestBlockWalk:
+    @pytest.mark.parametrize("n", range(8))
+    def test_signatures_decide_the_selection_rule(self, n):
+        target = _selection_target(n)
+        for chi in enumerate_power_matrices(n):
+            f = chi.flat
+            signature = _prefix_signature(*f[:5]) ^ _suffix_signature(*f[5:])
+            assert (signature == target) == _selection_flat(f), f
+
+    @pytest.mark.parametrize("canonical_only", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 9])
+    def test_blocks_follow_the_flat_order(self, n, canonical_only):
+        suffixes, blocks = _table_blocks(n, ValueCache(), canonical_only)
+        flats = []
+        for prefix, r, rows in blocks:
+            assert len(prefix) == 5 and sum(prefix) + r == n
+            positions = [i for i, _ in rows]
+            assert positions == sorted(set(positions))
+            flats += [prefix + suffixes[r][i] for i in positions]
+        kept = _selection_flat if not canonical_only else (lambda f: canonical_flat(f)[0] == f)
+        assert flats == [f for f in _compositions(n, 9) if kept(f)]
 
 
 class TestOrbitScan:
@@ -120,7 +150,7 @@ class TestOrbitScan:
             assert len(flats) == enumeration_count(n)
         assert sign_zero_at_odd_rank > 0
 
-    @pytest.mark.parametrize("n", [3, 8, 9])
+    @pytest.mark.parametrize("n", [3, 8, 9, 12, 13])
     def test_representatives_are_the_canonical_fixed_points(self, n):
         expected = [chi for chi in enumerate_power_matrices(n) if canonical_flat(chi.flat)[0] == chi.flat]
         assert canonical_representatives(n) == expected
@@ -314,7 +344,7 @@ class TestRankTable:
         assert all(value == Fraction(1, 3) for _, value in rows)
 
     def test_canonical_filter(self, cache):
-        # the walk's minima against is_orbit_minimum's, and its values against evaluate
+        # the table's minima against canonical_representatives, and its values against evaluate
         for n in range(12):
             expected = [(chi, evaluate(chi, cache)) for chi in canonical_representatives(n)]
             for nonzero in (False, True):

@@ -156,6 +156,13 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             DenseTensor(rank=1, components={(1,): 0.5})
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_are_rejected_as_booleans(self, mode, value):
+        # an exact true or false was once rejected as a float
+        with pytest.raises(ValueError, match="^tensor values are numbers, not booleans: (True|False)$"):
+            DenseTensor(rank=1, mode=mode, components={(1,): value})
+
     def test_float_mode_rejects_strings(self):
         with pytest.raises(ValueError):
             DenseTensor(rank=1, mode="float", components={(1,): "1/2"})
