@@ -29,7 +29,14 @@ from .power_matrix import (
     from_multi_index,
     selection_rule,
 )
-from .propositions import RANK8_EXCEPTION, RANK9_EXCEPTION, _rank_checks, _table_blocks, rank_table
+from .propositions import (
+    _PREFIX_LEN,
+    RANK8_EXCEPTION,
+    RANK9_EXCEPTION,
+    _rank_checks,
+    _table_blocks,
+    rank_table,
+)
 from .rationals import format_rational
 from .tensors import DEFAULT_MAX_RANK, DenseTensor, RankLimitError, _check_ceiling, average_tensor
 
@@ -156,25 +163,24 @@ def _cmd_average(args) -> int:
     return EXIT_OK
 
 
-# Each format's header, then a row's three parts: the matrix prefix
-# (f0..f4), the matrix suffix (f5..f8) and the tail (rank, value,
+# Each format's header, row head (the matrix) and row tail (rank, value,
 # value_float).  Every field is an int, an ASCII -?[0-9]+(/[0-9]+)? string or
 # a finite float; json.dumps and csv.writer (QUOTE_MINIMAL) neither quote nor
 # escape any of these, so the templates give the bytes those writers would.
 _ENUMERATE_TEMPLATES = {
     "json": (
         "",
-        '{"chi": [[%d, %d, %d], [%d, %d, ',
-        '%d], [%d, %d, %d]], ',
+        '{"chi": [[%d, %d, %d], [%d, %d, %d], [%d, %d, %d]], ',
         '"rank": %d, "value": "%s", "value_float": %r}\n',
     ),
-    "csv": (
-        "Q,R,S,T,U,V,W,X,Y,rank,value,value_float\n",
-        "%d,%d,%d,%d,%d,",
-        "%d,%d,%d,%d,",
-        "%d,%s,%r\n",
-    ),
+    "csv": ("Q,R,S,T,U,V,W,X,Y,rank,value,value_float\n", "%d,%d,%d,%d,%d,%d,%d,%d,%d,", "%d,%s,%r\n"),
 }
+
+
+def _split_matrix_template(head: str) -> tuple[str, str]:
+    """Split a row head before its first suffix field, where the block walk splits each flat."""
+    fields = head.split("%d")
+    return "%d".join(fields[: _PREFIX_LEN + 1]), "%d" + "%d".join(fields[_PREFIX_LEN + 1 :])
 
 
 def _cmd_enumerate(args) -> int:
@@ -183,7 +189,8 @@ def _cmd_enumerate(args) -> int:
         raise ValueError(f"rank must be nonnegative, got {n}")
     _check_ceiling(n, args.max_rank)
     suffixes, blocks = _table_blocks(n, _cache_from_env(), args.canonical)
-    header, head, middle, tail = _ENUMERATE_TEMPLATES[args.format]
+    header, matrix, tail = _ENUMERATE_TEMPLATES[args.format]
+    head, middle = _split_matrix_template(matrix)
     # per remainder, each suffix's text followed by a zero row's tail; a full
     # block is its prefix's text joined with these, and a nonzero row swaps
     # in its own tail

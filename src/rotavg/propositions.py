@@ -64,7 +64,9 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 # suffixes in lexicographic order, visits the flats in lexicographic order.
 # A flat's parity signature has bit k set when row k (k < 3) or column k - 3
 # has an odd sum; the selection rule holds iff every bit equals the rank's
-# parity, and the signature is the prefix's XOR the suffix's.
+# parity, and the signature is the prefix's XOR the suffix's.  The CLI's
+# enumerate renderer splits its row templates at the same place.
+_PREFIX_LEN = 5
 
 
 def _suffix_lists(n: int) -> list[list[Flat]]:
@@ -73,7 +75,7 @@ def _suffix_lists(n: int) -> list[list[Flat]]:
     binom(n+4, 4) tuples in all, built before the first block: a small share
     of the binom(n+8, 8) flats a full walk of rank n visits.
     """
-    return [list(_compositions(r, 4)) for r in range(n + 1)]
+    return [list(_compositions(r, 9 - _PREFIX_LEN)) for r in range(n + 1)]
 
 
 def _prefix_signature(f0: int, f1: int, f2: int, f3: int, f4: int) -> int:
@@ -97,11 +99,8 @@ def _selection_target(n: int) -> int:
 
 def enumerate_power_matrices(n: int) -> Iterator[PowerMatrix]:
     """All rank-n exponent matrices exactly once, in lexicographic flat order."""
-    suffixes = _suffix_lists(_strict_int(n, "rank", 0))
-    for composition in _compositions(n, 6):
-        prefix = composition[:5]
-        for tail in suffixes[composition[5]]:
-            yield PowerMatrix._trusted(prefix + tail)
+    for flat in _compositions(n, 9):
+        yield PowerMatrix._trusted(flat)
 
 
 def _minima_blocks(n: int, suffixes: list[list[Flat]]) -> Iterator[tuple[Flat, int, list[int]]]:
@@ -111,11 +110,11 @@ def _minima_blocks(n: int, suffixes: list[list[Flat]]) -> Iterator[tuple[Flat, i
     place (columns 1-2, rows 1-2, the transpose) ask f1 <= f2, f3 <= f6 and
     f1 <= f3; only the flats meeting these go through is_orbit_minimum.
     """
-    for composition in _compositions(n, 6):
+    for composition in _compositions(n, _PREFIX_LEN + 1):
         f0, f1, f2, f3, f4, r = composition
         if f0 > f1 or f1 > f2 or f1 > f3 or f0 > f4 or 4 * f0 > r:
             continue
-        prefix = composition[:5]
+        prefix = composition[:_PREFIX_LEN]
         positions = [
             i
             for i, tail in enumerate(suffixes[r])
@@ -304,24 +303,21 @@ def _full_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
         for i, tail in enumerate(tails):
             by_signature.setdefault(_suffix_signature(*tail) ^ target, []).append(i)
         passing.append(by_signature)
-    # the map holds thousands of images at rank 12, and a 9-byte key takes
-    # about a third of the memory of a 9-tuple; bytes() takes entries < 256
-    key = bytes if n < 256 else tuple
-    ahead: dict = {}
-    for composition in _compositions(n, 6):
-        prefix, r = composition[:5], composition[5]
+    ahead: dict[Flat, Fraction] = {}
+    for composition in _compositions(n, _PREFIX_LEN + 1):
+        prefix, r = composition[:_PREFIX_LEN], composition[_PREFIX_LEN]
         tails = suffixes[r]
         rows = []
         for i in passing[r].get(_prefix_signature(*prefix), ()):
             flat = prefix + tails[i]
-            value = ahead.pop(key(flat), None)
+            value = ahead.pop(flat, None)
             if value is None:  # an orbit's first flat is its minimum
                 signs = orbit_signs(flat)
                 exact = evaluate(PowerMatrix._trusted(flat), cache)
                 values = (_ZERO, exact, -exact)  # by sign 0, 1, -1
                 value = values[signs.pop(flat)]
                 for image, sign in signs.items():
-                    ahead[key(image)] = values[sign]
+                    ahead[image] = values[sign]
             rows.append((i, value))
         yield prefix, r, rows
 
