@@ -3,11 +3,14 @@
 The lab-frame isotropic average of a molecular tensor T is
 out[i1..in] = sum over molecular tuples m of <l_{i1 m1} ... l_{in mn}> T[m].
 Molecular tuples sharing an exponent matrix contribute through a single
-exact average.  One numpy kernel per call (``_PairKernel``) sums the stored
-components per exponent matrix (floats in component order; exact values as
-integer numerators over one common denominator), evaluates each distinct
-matrix once, with the evaluator's cache, and in both modes sums one lab
-tuple per orbit of the six lab-axis relabelings, deriving the rest exactly.
+exact average.  Relabeling the lab axes maps each lab tuple's component
+onto sign**n times another's, so only the first lab tuple of each orbit of
+the six relabelings is summed.  One numpy kernel (``_PairKernel``) takes
+those lab tuples in blocks of equal axis counts: it sums the stored values
+of each (lab, exponent matrix) cell in component order in one pass,
+evaluates each orbit of exponent matrices once, with the evaluator's cache,
+and weighs the sums, exact values as integer numerators over one common
+denominator and floats in each relabeled tuple's own exponent-matrix order.
 The tensor file format lives here too: ``DenseTensor.from_json_obj`` reads
 it and ``DenseTensor.to_json_text`` writes it, as ``rotavg average`` does.
 """
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .evaluator import ValueCache, evaluate
-from .power_matrix import _PERMS3, PowerMatrix, _axes, _pair_flat, _perm_sign, _strict_int
+from .power_matrix import _PERMS3, PowerMatrix, _axes, _pair_flat, _perm_sign, _strict_int, orbit_signs
 from .rationals import format_rational, parse_rational
 
 IndexTuple = tuple[int, ...]
@@ -35,8 +38,12 @@ MODES = ("exact", "float")
 
 DEFAULT_MAX_RANK = 10
 
-# pair codes (see _PairKernel) are below (n+1)**9, which fits int64 up to here
+# the kernel's rank ceiling; its cell ids (see _PairKernel) stay below
+# ((n + 3) / 3)**6, about 6.6e9 here, well inside int64
 PAIR_CODE_MAX_RANK = 127
+
+# (lab, component) pairs and (lab, cell) partial sums per numpy pass of the kernel
+_BLOCK = 1 << 16
 
 # the six relabelings of the lab axes, each as (image, sign): image[i] is
 # the new label of axis i (slot 0 unused) and sign the permutation's sign
@@ -207,94 +214,165 @@ def group_by_power_matrix(lab_idx, rank: int) -> list[ComponentGroup]:
 
 
 class _PairKernel:
-    """Lab components of one tensor's average, grouped by pair code.
+    """Lab components of one tensor's average, for blocks of lab tuples with equal axis counts.
 
-    The pair code of a (lab, mol) tuple pair is the sum over positions k of
-    E[lab_k][mol_k] with E[i][m] = (n+1)**(8 - (3(i-1) + (m-1))): the flat
-    exponent matrix read as a base-(n+1) number, first entry most
-    significant.  Codes therefore sort like the flats.  Each distinct code
-    is decoded and evaluated once per kernel.
+    A lab tuple with axis counts c = (c1, c2, c3) and a molecular tuple pair
+    into a flat exponent matrix F whose row i sums to c_i, so F is fixed by
+    its cell id: the row digits F[i][0] (c_i + 1) + F[i][1], read in base
+    (c_i + 1)**2 with the first row most significant.  Ids sort like the
+    flats and add up over positions like them: pairing lab axis i with
+    molecular axis m adds (c_i + 1) s_i, s_i or 0 for m = 1, 2, 3, where
+    s_i is row i's place.  Each orbit of flats is evaluated once per
+    kernel, at the first of its flats met, and the look-ahead map
+    ``weights`` then holds every image's value.
     """
 
     def __init__(self, tensor: DenseTensor, cache: Optional[ValueCache]):
         n = tensor.rank
         _check_ceiling(n, PAIR_CODE_MAX_RANK, "pair-code ceiling")
-        self.base = n + 1
+        self.rank = n
         self.exact = tensor.mode == "exact"
         self.cache = cache
-        self.weights: dict[int, object] = {}
-        self.positions = np.arange(n)
-        mols = np.array(list(tensor.components), dtype=np.intp)
-        mols = mols.reshape(len(tensor.components), n) - 1
-        self.places = [self.base ** (8 - j) for j in range(9)]  # E in flat order
-        # terms[k, i - 1] holds, per stored component, the code of pairing
-        # lab axis i with the component's k-th molecular axis
-        self.terms = np.array(self.places, dtype=np.int64).reshape(3, 3)[:, mols.T].transpose(1, 0, 2)
+        self.weights: dict[tuple[int, ...], object] = {}
+        self.mols = np.array(list(tensor.components), dtype=np.intp).reshape(len(tensor.components), n) - 1
         values = list(tensor.components.values())
         if self.exact:
             self.denominator = lcm(*(v.denominator for v in values))
             numerators = [v.numerator * (self.denominator // v.denominator) for v in values]
-            self.values = np.array(numerators, dtype=object)
+            # int64 holds every partial sum while the largest numerator times their count does
+            wide = max(map(abs, numerators), default=0) * len(numerators) >= 2**63
+            self.values = np.array(numerators, dtype=object if wide else np.int64)
         else:
             self.values = np.array(values, dtype=np.float64)
 
-    def _weight(self, code: int):
-        """The exact average of the code's flat; a float in float mode, where it multiplies."""
-        weight = self.weights.get(code)
-        if weight is None:
-            flat = tuple(code // place % self.base for place in self.places)
-            weight = evaluate(PowerMatrix._trusted(flat), self.cache)
+    def _weight(self, flat: tuple[int, ...]):
+        """The exact average of a selection-passing flat; a float in float mode, where it multiplies."""
+        weight = self.weights.get(flat)
+        if weight is None:  # the orbit's first flat met: evaluate once, weigh every image
+            value = evaluate(PowerMatrix._trusted(flat), self.cache)
             if not self.exact:
-                weight = float(weight)
-            self.weights[code] = weight
+                value = float(value)
+            by_sign = (value * 0, value, -value)  # sign 0 where opposite-signed symmetries meet
+            for image, sign in orbit_signs(flat).items():
+                self.weights[image] = by_sign[sign]
+            weight = self.weights[flat]
         return weight
 
-    def orbit(self, lab: IndexTuple):
-        """(image, value) for each relabeling of a validated lab tuple, the lab itself first.
+    def images(self, labs: np.ndarray) -> list[list]:
+        """values[p][r]: the average at relabeling p (in _RELABELINGS order) of lab row r.
 
-        An image's groups are the lab's, in the same component order, with
-        weights times sign**n, so float mode adds the lab's products again in
-        the image's own code order and negates (rounding commutes with it).
-        A float sum that overflows raises at the lab and is left out at the
-        other images, whose own orbit raises once the walk reaches them.
+        labs holds zero-based axes, one lab tuple per row, every row with the
+        same axis counts; relabeling 0 is the lab itself.  Float values are
+        inf or NaN where a sum overflows, for the caller to report.
         """
-        codes = self.terms[self.positions, np.array(lab, dtype=np.intp) - 1].sum(axis=0)
-        # add.at sums each group in component order, then the groups are
-        # added in flat order: the order of a per-group Python sum
-        codes, inverse = np.unique(codes, return_inverse=True)
-        partials = np.zeros(len(codes), dtype=self.values.dtype)
-        with np.errstate(over="ignore"):  # an overflow is reported below, naming the lab index
-            np.add.at(partials, inverse, self.values)
-        weights = [self._weight(code) for code in codes.tolist()]
-        products = [weight * partial for weight, partial in zip(weights, partials.tolist()) if weight]
+        counts = [int(np.count_nonzero(labs[0] == axis)) for axis in range(3)]
+        sizes = [c + 1 for c in counts]
+        strides = [(sizes[1] * sizes[2]) ** 2, sizes[2] ** 2, 1]
+        cells = sizes[0] ** 2 * strides[0]
+        step = np.array([[stride * size, stride, 0] for stride, size in zip(strides, sizes)], dtype=np.int64)
+        # steps[k, i] holds, per component, what pairing lab axis i with its k-th molecular axis adds to an id
+        steps = step[:, self.mols.T].transpose(1, 0, 2)
+        per_block = max(1, _BLOCK // max(len(self.values), cells))
+        values: list[list] = [[] for _ in _RELABELINGS]
+        for start in range(0, len(labs), per_block):
+            block = labs[start:start + per_block]
+            ids = np.zeros((len(block), len(self.values)), dtype=np.int64)
+            for position, axes in zip(steps, block.T):
+                ids += position[axes]
+            for image_values, sums in zip(values, self._sums(ids, counts, sizes, strides, cells)):
+                image_values.extend(sums)
+        return values
+
+    def _sums(self, ids: np.ndarray, counts: list[int], sizes: list[int], strides: list[int], cells: int):
+        """images() for one block, from the cell id of each (lab row, component) pair."""
+        n, k = self.rank, len(ids)
+        if k * cells <= _BLOCK:
+            occupied, keys = None, ids + np.arange(0, k * cells, cells)[:, None]
+        else:  # one lab whose own cell range exceeds the block: number its occupied cells
+            occupied, keys = np.unique(ids, return_inverse=True)
+            cells = len(occupied)
+        # add.at sums each (lab, cell) in component order; the cells, in id order, are the flats in flat order
+        partials = np.zeros(k * cells, dtype=self.values.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows are reported by the caller
+            np.add.at(partials, keys.ravel(), np.broadcast_to(self.values, ids.shape).ravel())
+        partials = partials.reshape(k, cells)
+        columns = np.flatnonzero((partials != 0).any(axis=0))
+        cell_ids = columns if occupied is None else occupied[columns]
+        digits = cell_ids[:, None] // strides % [size * size for size in sizes]  # row i's digit per cell
+        first, second = digits // sizes, digits % sizes
+        flats = np.stack([first, second, np.array(counts) - first - second], axis=2).reshape(-1, 9)
+        # rows pass the selection rule with the lab, the third column with the first two
+        parity = (first.sum(axis=1) & 1 == n & 1) & (second.sum(axis=1) & 1 == n & 1)
+        passing = np.flatnonzero(parity) if all((c - n) & 1 == 0 for c in counts) else []
+        weights = [self._weight(flat) for flat in map(tuple, flats[passing].tolist())]
+        live = [column for column, weight in zip(passing, weights) if weight]
+        weights = [weight for weight in weights if weight]
+        partials = partials[:, columns[live]]
+        odd = n & 1
         if self.exact:
-            total = sum(products, Fraction(0)) / self.denominator
-        else:  # exponent rows i = 1, 2, 3 of the nonzero-weight groups, at places[3i - 1] in a code
-            rows = codes[np.array(weights, dtype=bool)][:, None] // self.places[2::3] % self.places[5]
-        for relabel, sign in _RELABELINGS:
-            image = tuple([relabel[i] for i in lab])
-            if not self.exact:
-                # the image's code moves row i to places[3 relabel[i] - 1]; add in its order,
-                # in an explicit loop: builtin sum compensates from Python 3.12, np.sum adds pairwise
-                total = 0.0
-                for group in np.argsort(rows @ [self.places[3 * r - 1] for r in relabel[1:]]).tolist():
-                    total += products[group]
-            value = -total if sign < 0 and len(lab) & 1 else total
-            if self.exact or isfinite(value):
-                yield image, value
-            elif image == lab:
-                raise ValueError(f"float overflow in the average at lab index {list(lab)}")
+            denominator = lcm(*(w.denominator for w in weights))
+            numerators = np.array([w.numerator * (denominator // w.denominator) for w in weights], dtype=object)
+            denominator *= self.denominator
+            totals = [Fraction(total, denominator) for total in (partials.astype(object) @ numerators).tolist()]
+            negated = [-total for total in totals] if odd else totals
+            return [negated if sign < 0 else totals for _, sign in _RELABELINGS]
+        digits = digits[live]
+        padded = np.zeros((k, len(live) + 1))
+        sums = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = partials * weights
+            for relabel, sign in _RELABELINGS:
+                # accumulate adds left to right, as np.sum does not
+                padded[:, 1:] = products[:, _image_order(digits, relabel)]
+                total = np.add.accumulate(padded, axis=1)[:, -1]
+                sums.append((-total if sign < 0 and odd else total).tolist())
+        return sums
+
+
+def _image_order(digits: np.ndarray, relabel: tuple[int, ...]) -> np.ndarray:
+    """The cells, given by their row digits, in the flat order of the lab relabeled by relabel.
+
+    Row i of a cell is row relabel[i] - 1 of its image, and flats with equal
+    row sums sort by their row digits.
+    """
+    source = [relabel.index(row) - 1 for row in (3, 2, 1)]  # lexsort sorts by its last key first
+    return np.lexsort(digits[:, source].T)
+
+
+def _overflow(lab: IndexTuple) -> ValueError:
+    return ValueError(f"float overflow in the average at lab index {list(lab)}")
+
+
+def _orbit_first_labs(n: int) -> list[list[IndexTuple]]:
+    """The zero-based lab tuples that pass the parity rule and use their axes in order of
+    first use, grouped by axis counts, each group in product order.
+
+    Such a lab is the least of its six relabelings, so it is its orbit's first in product order.
+    """
+    grown = [((), -1)]  # (lab, its largest axis)
+    for _ in range(n):
+        grown = [(lab + (axis,), max(top, axis)) for lab, top in grown for axis in range(min(top + 2, 3))]
+    classes: dict[tuple[int, int, int], list[IndexTuple]] = {}
+    for lab, _ in grown:
+        counts = (lab.count(0), lab.count(1), lab.count(2))
+        if all((c - n) & 1 == 0 for c in counts):
+            classes.setdefault(counts, []).append(lab)
+    return list(classes.values())
 
 
 def average_component(lab_idx, tensor: DenseTensor, cache: Optional[ValueCache] = None):
     """One lab component of the isotropic average: sum of <...> * T over molecular tuples.
 
     Stored molecular tuples are grouped by exponent matrix first, so the
-    evaluator runs once per group.  Exact for exact tensors; float tensors
-    convert the exact averages at the final multiply.
+    evaluator runs once per orbit of groups.  Exact for exact tensors; float
+    tensors convert the exact averages at the final multiply.
     """
     lab = _index_tuple(lab_idx, tensor.rank)
-    return next(_PairKernel(tensor, cache).orbit(lab))[1]  # the lab's own image comes first
+    labs = np.array(lab, dtype=np.intp).reshape(1, tensor.rank) - 1
+    value = _PairKernel(tensor, cache).images(labs)[0][0]  # relabeling 0 is the lab itself
+    if tensor.mode == "float" and not isfinite(value):
+        raise _overflow(lab)
+    return value
 
 
 def average_tensor(
@@ -308,21 +386,22 @@ def average_tensor(
     zero for every molecular tuple and are skipped without evaluation.  The
     average is invariant under rotations, so relabeling the lab axes by a
     permutation p turns each component into sign(p)**rank times another:
-    both modes evaluate one lab tuple per orbit and fill in the rest.
+    the kernel sums one lab tuple per orbit and fills in the rest.  A float
+    sum that overflows raises, naming the first such lab in product order.
     """
     max_rank = _strict_int(max_rank, "max_rank", 0)
     n = tensor.rank
     _check_ceiling(n, max_rank)
     kernel = _PairKernel(tensor, cache)
-    parity = n & 1
-    pending: dict[IndexTuple, object] = {}  # orbit values of labs not yet reached
-    out: dict[IndexTuple, object] = {}
-    for lab in product((1, 2, 3), repeat=n):
-        if (lab.count(1) & 1) != parity or (lab.count(2) & 1) != parity or (lab.count(3) & 1) != parity:
-            continue
-        if lab not in pending:  # the orbit's first lab in product order
-            pending.update(kernel.orbit(lab))
-        value = pending.pop(lab)
-        if value:
-            out[lab] = value
+    values: dict[IndexTuple, object] = {}
+    for labs in _orbit_first_labs(n):
+        labs = np.array(labs, dtype=np.intp).reshape(len(labs), n)
+        for (relabel, _), image_values in zip(_RELABELINGS, kernel.images(labs)):
+            images = np.array(relabel[1:])[labs].tolist()
+            values.update(zip(map(tuple, images), image_values))
+    if tensor.mode == "float":
+        overflowed = [lab for lab, value in values.items() if not isfinite(value)]
+        if overflowed:
+            raise _overflow(min(overflowed))
+    out = {lab: values[lab] for lab in sorted(values) if values[lab]}
     return DenseTensor._trusted(n, tensor.mode, out)

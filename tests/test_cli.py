@@ -219,6 +219,15 @@ def seeded_sparse_tensor(rank, size, seed):
     return {"rank": rank, "mode": "exact", "components": components}
 
 
+def seeded_wide_float_tensor(rank, size, seed):
+    """size distinct float components at seeded index tuples, valued near both ends of the float range."""
+    rng = random.Random(seed)
+    pool = [1e300, -1e300, 3.7e299, 5e-324, -5e-324, 2.5e-310, 0.1, -7.25]
+    indices = rng.sample(list(itertools.product((1, 2, 3), repeat=rank)), size)
+    components = [{"idx": list(idx), "value": rng.choice(pool)} for idx in indices]
+    return {"rank": rank, "mode": "float", "components": components}
+
+
 class TestAverage:
     def test_rank2_identity_returns_itself(self, capsys, tmp_path):
         path = write_tensor(
@@ -429,8 +438,9 @@ class TestAverage:
 
 # SHA-256 of `rotavg average` stdout.  The rank-6 exact and rank-7 float
 # digests were captured before the pair-code kernel replaced the per-lab
-# loop, the others before the exact mode evaluated one lab tuple per
-# axis-relabeling orbit; both changes must reproduce them byte for byte
+# loop, the rank-8 float ones before the kernel summed whole blocks of lab
+# tuples at once, the others before the exact mode evaluated one lab tuple
+# per axis-relabeling orbit; every change must reproduce them byte for byte
 AVERAGE_STDOUT_SHA256 = {
     (5, "exact", False): "3201faff2f67a5fcad52a72f4179c650cadc0abf36b58288abeef02f881dab88",
     (5, "exact", True): "d6bff784b292745021584c18074f3a01770f4e4a64f63445d732b3deb70d5ab5",
@@ -440,12 +450,21 @@ AVERAGE_STDOUT_SHA256 = {
     (7, "exact", True): "a06debdf9c6c0b3eef920203c3f7c58f468d5f0e06f7305cdf0693417b433b9f",
     (7, "float", False): "4f4b32e2a9a1f6d151dbf54687c6a794979dfdc178c8f3e65df2dbd59124b108",
     (7, "float", True): "d34845b642b538c36dd9be42b7ea5631815cbcd5e2476e80df5b1458b17557b6",
+    (8, "float", False): "8e0e690da90da85f1d0b8f3b22415514cc8295d842d12ba89243f0479f731652",
+    (8, "float", True): "effacf9c2c3ee3a113a641145d7cb18114fc85f78d3854d54d28de1b73098765",
 }
 
 # the same for seeded_sparse_tensor(8, 36, seed=8), keyed by nonzero_only
 SPARSE_AVERAGE_STDOUT_SHA256 = {
     False: "79c28990b9d900b7dd861c7d57392e3feb9108744d5cc01fce1de96d2a1ec025",
     True: "e7e932d1db3763bc77066440d300da6d8f5de6d3a1f8a3f35ccb06305aaf67db",
+}
+
+
+# the same for seeded_wide_float_tensor(8, 600, seed=8), keyed by nonzero_only
+WIDE_FLOAT_AVERAGE_STDOUT_SHA256 = {
+    False: "8eb11f21b2871b71ee0a5c99e44e08185cb774e6695af4bc1173636e1f6b6802",
+    True: "8c03524a69969e850466a8e42548508220985602cd2cdbf8632ba2ace461b60e",
 }
 
 
@@ -465,6 +484,15 @@ class TestAverageGolden:
         assert code == EXIT_OK
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == SPARSE_AVERAGE_STDOUT_SHA256[nonzero_only]
+
+    @pytest.mark.parametrize("nonzero_only", sorted(WIDE_FLOAT_AVERAGE_STDOUT_SHA256))
+    def test_wide_float_stdout_digest(self, capsys, tmp_path, nonzero_only):
+        # values near 1e300 and subnormals: the float sums keep their order to the last bit
+        path = write_tensor(tmp_path, "t.json", seeded_wide_float_tensor(8, 600, seed=8))
+        code, out = run_cli(capsys, "average", path, *(["--nonzero-only"] if nonzero_only else []))
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == WIDE_FLOAT_AVERAGE_STDOUT_SHA256[nonzero_only]
 
 
 def rendered_tensors(rank, mode):

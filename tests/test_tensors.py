@@ -2,6 +2,9 @@ import itertools
 import json
 import math
 import random
+import re
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -93,6 +96,15 @@ def seeded_tensor(rank, mode, density, seed, wide=False):
     items = list(components.items())
     rng.shuffle(items)  # the kernel must follow the components' own order
     return DenseTensor(rank=rank, mode=mode, components=dict(items))
+
+
+def overflow_prone_tensor(rank, seed):
+    """A sparse float tensor of seeded values at the top of the float range."""
+    rng = random.Random(seed)
+    top = sys.float_info.max
+    pool = [top, -top, top / 2, -top / 2, 0.1]
+    indices = rng.sample(list(itertools.product((1, 2, 3), repeat=rank)), rng.randint(2, 3**rank // 3))
+    return DenseTensor(rank=rank, mode="float", components={idx: rng.choice(pool) for idx in indices})
 
 
 def tensor_params(max_rank):
@@ -385,14 +397,15 @@ class TestPairCodeKernel:
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_both_modes_evaluate_one_lab_per_relabeling_orbit(self, monkeypatch, mode):
+        # the labs the kernel sums; it derives every other passing lab from them
         evaluated = []
-        orbit = rotavg.tensors._PairKernel.orbit
+        images = rotavg.tensors._PairKernel.images
 
-        def counted(kernel, lab):
-            evaluated.append(lab)
-            return orbit(kernel, lab)
+        def counted(kernel, labs):
+            evaluated.extend(tuple(axis + 1 for axis in lab) for lab in labs.tolist())
+            return images(kernel, labs)
 
-        monkeypatch.setattr(rotavg.tensors._PairKernel, "orbit", counted)
+        monkeypatch.setattr(rotavg.tensors._PairKernel, "images", counted)
         t = seeded_tensor(4, mode, 1.0, seed=7)
         out = average_tensor(t)
         passing = [lab for lab in DenseTensor.index_space(4) if all(lab.count(axis) % 2 == 0 for axis in (1, 2, 3))]
@@ -451,6 +464,71 @@ class TestPairCodeKernel:
             average_component((1,) * 128, t128)
         with pytest.raises(RankLimitError):
             average_tensor(t128, max_rank=200)
+
+    @pytest.mark.parametrize(
+        "rank,seed,lab",
+        [(4, 16, (1, 2, 1, 2)), (5, 0, (1, 1, 2, 3, 1)), (5, 16, (1, 2, 3, 2, 2)), (6, 15, (1, 1, 2, 2, 2, 2))],
+    )
+    def test_overflow_names_the_first_overflowing_lab_in_product_order(self, rank, seed, lab):
+        # found by a seeded search against the reference and pinned from the
+        # per-lab walk the kernel replaced; the passing labs before it stay finite
+        t = overflow_prone_tensor(rank, seed)
+        reference = reference_average_tensor(t)
+        assert min(idx for idx, value in reference.items() if not math.isfinite(value)) == lab
+        with pytest.raises(ValueError, match=r"^float overflow in the average at lab index %s$" % re.escape(str(list(lab)))):
+            average_tensor(t)
+
+    def test_relabeled_image_overflows_where_its_orbit_first_lab_does_not(self):
+        # (2, 2, 1, 1, 3, 3) adds the products of (1, 1, 2, 2, 3, 3) in its own
+        # cell order; signed so that the first 50 of its 60 products are
+        # positive, its running sum passes the float maximum and the lab's does
+        # not.  The error, pinned from the per-lab walk, names the first
+        # overflowing lab in product order
+        lab, image = (1, 1, 2, 2, 3, 3), (2, 2, 1, 1, 3, 3)
+        groups = [group for group in group_by_power_matrix(lab, 6) if evaluate(group.power_matrix)]
+        in_image_order = sorted(groups, key=lambda group: group.power_matrix.flat[3:6] + group.power_matrix.flat[:3])
+        positive = in_image_order[:50]
+        components = {}
+        for group in groups:
+            sign = 1 if (evaluate(group.power_matrix) > 0) == (group in positive) else -1
+            for mol in group.members:
+                components[mol] = sign * 0.95 * sys.float_info.max / len(group.members)
+        t = DenseTensor(rank=6, mode="float", components=components)
+        reference = reference_average_tensor(t)
+        assert math.isfinite(reference[lab]) and not math.isfinite(reference[image])
+        assert min(idx for idx, value in reference.items() if not math.isfinite(value)) == (1,) * 6
+        with pytest.raises(ValueError, match=r"^float overflow in the average at lab index \[1, 1, 1, 1, 1, 1\]$"):
+            average_tensor(t)
+
+    def test_exact_numerators_beyond_int64(self):
+        # partial sums that overflow int64 take Python integers
+        rng = random.Random(5)
+        components = {
+            idx: Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**12))
+            for idx in itertools.product((1, 2, 3), repeat=5)
+            if rng.random() < 0.5
+        }
+        t = DenseTensor(rank=5, components=components)
+        assert average_tensor(t).components == reference_average_tensor(t)
+
+    def test_dense_rank8_float_memory_is_bounded(self):
+        # the kernel works in blocks of about 2**16 (lab, component) pairs
+        t = seeded_tensor(8, "float", 1.0, seed=8)
+        tracemalloc.start()
+        try:
+            average_tensor(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_rank127_balanced_lab_numbers_its_occupied_cells(self):
+        # the cell range of this lab's axis counts exceeds the kernel's block
+        lab = (1,) * 43 + (2,) * 43 + (3,) * 41
+        assert (44 * 44 * 42) ** 2 > rotavg.tensors._BLOCK
+        t = DenseTensor(rank=127, components={lab: Fraction(3, 2)})
+        chi = from_multi_index(MultiIndex(lab, lab))
+        assert average_component(lab, t) == Fraction(3, 2) * evaluate(chi) != 0
 
     def test_cache_limit_is_honoured(self):
         t = DenseTensor(rank=4, components={(1, 1, 2, 2): 1, (1, 2, 1, 2): 2})
