@@ -6,8 +6,8 @@ it early.  Commands raise; main alone maps a RankLimitError to 3 and any
 other ValueError or OSError to 2, with one "error:" line on stderr.
 Integer inputs are ASCII digits with an optional minus sign.  Exact
 rationals render as "p/q"; floats are shortest round-trip.  The optional
-ROTAVG_CACHE_LIMIT environment variable caps the number of cached orbit
-values.
+ROTAVG_CACHE_LIMIT environment variable caps the cached orbits; a full
+cache makes walks evaluate each flat, not each orbit, to the same output.
 """
 
 from __future__ import annotations

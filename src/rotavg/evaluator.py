@@ -22,8 +22,11 @@ from .power_matrix import (
     PowerMatrix,
     _strict_int,
     canonical_flat,
+    orbit_signs,
     selection_rule,
 )
+
+_ZERO = Fraction(0)  # the one zero object that the cache holds and evaluate returns
 
 _DF = [1, 1]  # k!! for k = -1, 0
 
@@ -337,26 +340,38 @@ def threej000_squared(j1, j2, j3) -> Fraction:
     )
 
 
-class ValueCache:
-    """Memo of exact values keyed by orbit-minimal flat matrices.
+def _by_sign(value: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """The values of an orbit's members whose sign relative to value is 0, 1 and -1."""
+    return (_ZERO, value, -value) if value else (_ZERO, _ZERO, _ZERO)
 
-    Values are deterministic functions of the key.  An optional entry limit
-    stops growth without affecting results.
+
+class ValueCache:
+    """Memo of exact values, one entry per orbit of the 72 symmetries.
+
+    ``put(key, value)`` stores value under key and the signed value under
+    every other image, so ``get`` answers any orbit member.  ``len`` and
+    the optional ``limit`` count orbits; a full cache stops growing
+    without affecting results.
     """
 
     def __init__(self, limit: Optional[int] = None):
         self._data: dict[Flat, Fraction] = {}
+        self._orbits = 0
         self.limit = None if limit is None else _strict_int(limit, "cache limit", 0)
 
     def get(self, key: Flat) -> Optional[Fraction]:
         return self._data.get(key)
 
     def put(self, key: Flat, value: Fraction) -> None:
-        if self.limit is None or len(self._data) < self.limit or key in self._data:
-            self._data[key] = value
+        if key in self._data or (self.limit is not None and self._orbits >= self.limit):
+            return
+        by_sign = _by_sign(value)
+        for image, sign in orbit_signs(key).items():
+            self._data[image] = by_sign[sign]
+        self._orbits += 1
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._orbits
 
 
 _SHARED_CACHE = ValueCache()
@@ -370,20 +385,19 @@ def shared_cache() -> ValueCache:
 def evaluate(chi: PowerMatrix, cache: Optional[ValueCache] = None) -> Fraction:
     """Exact rotational average of chi with shortcuts and orbit caching.
 
-    Returns 0 when the parity selection rule fails or when an odd-signed
-    symmetry stabilizes the orbit; otherwise computes the closed form once
-    per orbit and reuses it for every orbit member, with the relating sign
-    at odd rank.  There is no rank-specific branch.
+    Returns 0 when the parity selection rule fails.  Any member of a cached
+    orbit answers from the cache; a miss scans the orbit once for its
+    minimum and sign, runs the closed form there (0 at sign 0) and caches
+    the orbit.  There is no rank-specific branch.
     """
     if cache is None:
         cache = _SHARED_CACHE
     if not selection_rule(chi):
-        return Fraction(0)
-    rep, sign = canonical_flat(chi.flat)
-    if sign == 0:
-        return Fraction(0)
-    value = cache.get(rep)
+        return _ZERO
+    value = cache.get(chi.flat)
     if value is None:
-        value = closed_form(PowerMatrix._trusted(rep))
+        rep, sign = canonical_flat(chi.flat)
+        value = closed_form(PowerMatrix._trusted(rep)) if sign else _ZERO
         cache.put(rep, value)
-    return -value if sign < 0 else value
+        value = _by_sign(value)[sign]
+    return value

@@ -150,14 +150,14 @@ def selection_rule(chi: PowerMatrix) -> bool:
 
 
 def _selection_flat(f: Flat) -> bool:
+    # the third row sums to n - r1 - r2, which has n's parity whenever r1 and
+    # r2 do; likewise the third column, so four of the six checks decide
     n_par = (f[0] + f[1] + f[2] + f[3] + f[4] + f[5] + f[6] + f[7] + f[8]) & 1
     return (
         (f[0] + f[1] + f[2]) & 1 == n_par
         and (f[3] + f[4] + f[5]) & 1 == n_par
-        and (f[6] + f[7] + f[8]) & 1 == n_par
         and (f[0] + f[3] + f[6]) & 1 == n_par
         and (f[1] + f[4] + f[7]) & 1 == n_par
-        and (f[2] + f[5] + f[8]) & 1 == n_par
     )
 
 
@@ -276,8 +276,8 @@ def canonical_flat(flat: Flat) -> tuple[Flat, int]:
     The sign follows :func:`orbit_signs`: that of the operations reaching the
     minimum, 0 where opposite-signed ones meet, and +1 throughout at even rank.
     """
-    # one pass with no dict: this is evaluate's hit path, where
-    # min(orbit_signs(flat)) measured about 40% slower
+    # one pass with no dict: evaluate's miss path runs it once per orbit,
+    # and min(orbit_signs(flat)) measured about 40% slower
     best, sign = flat, 1  # the identity's image
     for src, sgn in _FLAT_OPS:
         img = (

@@ -16,7 +16,7 @@ from math import comb
 from operator import sub
 from typing import Iterable, Iterator, Optional
 
-from .evaluator import ValueCache, double_factorial, evaluate
+from .evaluator import _ZERO, ValueCache, double_factorial, evaluate
 from .power_matrix import (
     Flat,
     PowerMatrix,
@@ -25,11 +25,8 @@ from .power_matrix import (
     _strict_int,
     determinant,
     is_orbit_minimum,
-    orbit_signs,
     selection_rule,
 )
-
-_ZERO = Fraction(0)
 
 # the two rank-specific exceptions to the simple vanishing rules: a rank-8
 # matrix whose average vanishes although the selection rule holds, and a
@@ -285,9 +282,8 @@ def _table_blocks(
     order of i, and rows pairs positions i with values.  In the full walk,
     rows holds the selection-passing flats and every other flat is zero;
     with ``canonical_only`` it holds the orbit minima, the only flats kept.
-    The full walk meets each orbit first at its minimum; it evaluates there
-    and holds the signed value of every image still ahead, popping each when
-    the walk reaches it, so the rows of one orbit share value objects.
+    The full walk reads each row's value from the cache, which answers every
+    member of an orbit once the walk has evaluated its first, the minimum.
     """
     n = _strict_int(n, "rank", 0)
     suffixes = _suffix_lists(n)
@@ -303,21 +299,15 @@ def _full_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
         for i, tail in enumerate(tails):
             by_signature.setdefault(_suffix_signature(*tail) ^ target, []).append(i)
         passing.append(by_signature)
-    ahead: dict[Flat, Fraction] = {}
     for composition in _compositions(n, _PREFIX_LEN + 1):
         prefix, r = composition[:_PREFIX_LEN], composition[_PREFIX_LEN]
         tails = suffixes[r]
         rows = []
         for i in passing[r].get(_prefix_signature(*prefix), ()):
             flat = prefix + tails[i]
-            value = ahead.pop(flat, None)
-            if value is None:  # an orbit's first flat is its minimum
-                signs = orbit_signs(flat)
-                exact = evaluate(PowerMatrix._trusted(flat), cache)
-                values = (_ZERO, exact, -exact)  # by sign 0, 1, -1
-                value = values[signs.pop(flat)]
-                for image, sign in signs.items():
-                    ahead[image] = values[sign]
+            value = cache.get(flat)
+            if value is None:  # the orbit's first flat, or a full cache
+                value = evaluate(PowerMatrix._trusted(flat), cache)
             rows.append((i, value))
         yield prefix, r, rows
 
@@ -330,9 +320,9 @@ def _minima_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
         rows = []
         for i in positions:
             tail = tails[i]
-            value = _ZERO  # every zero row holds this one object
+            value = _ZERO  # every zero row holds this one object, as the cache does
             if _suffix_signature(*tail) == want:
-                value = evaluate(PowerMatrix._trusted(prefix + tail), cache) or _ZERO
+                value = evaluate(PowerMatrix._trusted(prefix + tail), cache)
             rows.append((i, value))
         yield prefix, r, rows
 
@@ -346,11 +336,11 @@ def rank_table(
 ) -> Iterator[tuple[PowerMatrix, Fraction]]:
     """All rank-n matrices with their exact averages, in lexicographic order.
 
-    Values match :func:`rotavg.evaluator.evaluate` exactly, which runs once
-    per selection-passing orbit.  ``canonical_only`` keeps only the orbit
-    minima.  Rows of one orbit share value objects.  The rows are those of
-    :func:`_table_blocks`, flattened.  ``threads`` is accepted for
-    compatibility and ignored.
+    Values match :func:`rotavg.evaluator.evaluate` exactly, whose closed form
+    runs once per selection-passing orbit of nonzero sign.  ``canonical_only``
+    keeps only the orbit minima.  While the cache has room, rows of one
+    orbit share value objects.  The rows are those of :func:`_table_blocks`,
+    flattened.  ``threads`` is accepted for compatibility and ignored.
     """
     cache = cache if cache is not None else ValueCache()
     suffixes, blocks = _table_blocks(n, cache, canonical_only)

@@ -7,10 +7,11 @@ exact average.  Relabeling the lab axes maps each lab tuple's component
 onto sign**n times another's, so only the first lab tuple of each orbit of
 the six relabelings is summed.  One numpy kernel (``_PairKernel``) takes
 those lab tuples in blocks of equal axis counts: it sums the stored values
-of each (lab, exponent matrix) cell in component order in one pass,
-evaluates each orbit of exponent matrices once, with the evaluator's cache,
-and weighs the sums, exact values as integer numerators over one common
-denominator and floats in each relabeled tuple's own exponent-matrix order.
+of each (lab, exponent matrix) cell in component order in one pass, reads
+each exponent matrix's average from the evaluator's cache, which evaluates
+each orbit once, and weighs the sums, exact values as integer numerators
+over one common denominator and floats in each relabeled tuple's own
+exponent-matrix order.
 The tensor file format lives here too: ``DenseTensor.from_json_obj`` reads
 it and ``DenseTensor.to_json_text`` writes it, as ``rotavg average`` does.
 """
@@ -28,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluator import ValueCache, evaluate
-from .power_matrix import _PERMS3, PowerMatrix, _axes, _pair_flat, _perm_sign, _strict_int, orbit_signs
+from .evaluator import ValueCache, evaluate, shared_cache
+from .power_matrix import _PERMS3, PowerMatrix, _axes, _pair_flat, _perm_sign, _strict_int
 from .rationals import format_rational, parse_rational
 
 IndexTuple = tuple[int, ...]
@@ -222,9 +223,9 @@ class _PairKernel:
     (c_i + 1)**2 with the first row most significant.  Ids sort like the
     flats and add up over positions like them: pairing lab axis i with
     molecular axis m adds (c_i + 1) s_i, s_i or 0 for m = 1, 2, 3, where
-    s_i is row i's place.  Each orbit of flats is evaluated once per
-    kernel, at the first of its flats met, and the look-ahead map
-    ``weights`` then holds every image's value.
+    s_i is row i's place.  Weights come from the evaluator's cache (the
+    shared one unless another is given), which answers every flat of an
+    orbit once the first of them met has been evaluated.
     """
 
     def __init__(self, tensor: DenseTensor, cache: Optional[ValueCache]):
@@ -232,8 +233,7 @@ class _PairKernel:
         _check_ceiling(n, PAIR_CODE_MAX_RANK, "pair-code ceiling")
         self.rank = n
         self.exact = tensor.mode == "exact"
-        self.cache = cache
-        self.weights: dict[tuple[int, ...], object] = {}
+        self.cache = shared_cache() if cache is None else cache
         self.mols = np.array(list(tensor.components), dtype=np.intp).reshape(len(tensor.components), n) - 1
         values = list(tensor.components.values())
         if self.exact:
@@ -247,16 +247,10 @@ class _PairKernel:
 
     def _weight(self, flat: tuple[int, ...]):
         """The exact average of a selection-passing flat; a float in float mode, where it multiplies."""
-        weight = self.weights.get(flat)
-        if weight is None:  # the orbit's first flat met: evaluate once, weigh every image
-            value = evaluate(PowerMatrix._trusted(flat), self.cache)
-            if not self.exact:
-                value = float(value)
-            by_sign = (value * 0, value, -value)  # sign 0 where opposite-signed symmetries meet
-            for image, sign in orbit_signs(flat).items():
-                self.weights[image] = by_sign[sign]
-            weight = self.weights[flat]
-        return weight
+        weight = self.cache.get(flat)
+        if weight is None:  # the orbit's first flat met, or a full cache
+            weight = evaluate(PowerMatrix._trusted(flat), self.cache)
+        return weight if self.exact else float(weight)
 
     def images(self, labs: np.ndarray) -> list[list]:
         """values[p][r]: the average at relabeling p (in _RELABELINGS order) of lab row r.

@@ -1,7 +1,8 @@
 import hypothesis.strategies as st
 import pytest
 
-from rotavg import ALL_OPS, PowerMatrix, ValueCache, enumerate_power_matrices, selection_rule
+from rotavg import ALL_OPS, PowerMatrix, ValueCache, enumerate_power_matrices, evaluator, selection_rule
+from rotavg.power_matrix import _selection_flat, canonical_flat
 
 
 @st.composite
@@ -62,3 +63,22 @@ def selection_passing_past_rank8(draw, upper=None):
 def cache():
     """One evaluator cache shared across the whole test session."""
     return ValueCache()
+
+
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """The flats rotavg.evaluator.closed_form runs on during the test, in call order."""
+    calls = []
+    original = evaluator.closed_form
+
+    def counted(chi):
+        calls.append(chi.flat)
+        return original(chi)
+
+    monkeypatch.setattr(evaluator, "closed_form", counted)
+    return calls
+
+
+def nonzero_sign_minima(flats):
+    """The sorted orbit minima of the selection-passing flats whose orbit sign is not 0."""
+    return sorted({rep for rep, sign in map(canonical_flat, filter(_selection_flat, flats)) if sign})

@@ -800,6 +800,25 @@ class TestEnumerateGolden:
         assert digest == ENUMERATE_OTHER_SHA256[rank][form]
 
 
+class TestFullCacheGolden:
+    """With ROTAVG_CACHE_LIMIT=0 every flat is evaluated on its own, to the same bytes."""
+
+    def test_enumerate_digest(self, capsys, monkeypatch):
+        monkeypatch.setenv("ROTAVG_CACHE_LIMIT", "0")
+        reference = json.loads(ENUMERATE_SHA256.read_text(encoding="utf-8"))
+        code, out = run_cli(capsys, "enumerate", "-n", "9")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["json-9"]
+
+    @pytest.mark.parametrize("rank,mode", [(5, "exact"), (7, "float")])
+    def test_average_digest(self, capsys, tmp_path, monkeypatch, rank, mode):
+        monkeypatch.setenv("ROTAVG_CACHE_LIMIT", "0")
+        path = write_tensor(tmp_path, "t.json", seeded_dense_tensor(rank, mode, seed=rank))
+        code, out = run_cli(capsys, "average", path)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == AVERAGE_STDOUT_SHA256[rank, mode, False]
+
+
 def run_failing(capsys, argv):
     """Run a command that must fail; return (exit code, stderr), checking stdout stays empty."""
     try:

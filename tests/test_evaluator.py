@@ -7,6 +7,7 @@ import itertools
 
 from conftest import power_matrices, selection_passing, selection_passing_past_rank8, symmetry_ops
 from rotavg import (
+    ALL_OPS,
     PiCancellationError,
     PiRational,
     PowerMatrix,
@@ -242,6 +243,8 @@ class TestThreeJ:
 class TestEvaluate:
     def test_selection_rule_shortcut(self):
         assert evaluate(PowerMatrix(((1, 1, 0), (0, 0, 0), (0, 0, 0)))) == 0
+        # two odd row sums at even rank, every column sum even
+        assert evaluate(PowerMatrix(((2, 1, 0), (0, 0, 0), (0, 1, 0)))) == 0
 
     def test_row_swap_flips_rank3_sign(self):
         assert evaluate(PowerMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 1)))) == Fraction(-1, 6)
@@ -253,6 +256,39 @@ class TestEvaluate:
         assert canonicalize(a).representative == canonicalize(b).representative
         evaluate(a, cache)
         evaluate(b, cache)
+        assert len(cache) == 1
+
+    @pytest.mark.parametrize(
+        "rows,values",
+        [
+            (((0, 0, 0), (0, 0, 2), (0, 2, 0)), {Fraction(2, 15)}),
+            (((0, 1, 0), (1, 0, 0), (0, 0, 1)), {Fraction(1, 6), Fraction(-1, 6)}),
+            # two equal rows at odd rank: an odd-signed symmetry fixes the matrix
+            (((1, 1, 1), (1, 1, 1), (1, 1, 1)), {0}),
+        ],
+        ids=["even", "odd-signed", "odd-sign-zero"],
+    )
+    def test_one_evaluate_caches_every_image(self, rows, values):
+        cache = ValueCache()
+        evaluate(PowerMatrix(rows), cache)
+        assert len(cache) == 1
+        images = [apply_symmetry(PowerMatrix(rows), op) for op in ALL_OPS]
+        assert all(cache.get(image.flat) == closed_form(image) for image in images)
+        assert {cache.get(image.flat) for image in images} == values
+
+    def test_cache_limit_counts_orbits(self):
+        cache = ValueCache(limit=1)
+        evaluate(PowerMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 1))), cache)
+        evaluate(PowerMatrix(((0, 0, 0), (0, 0, 2), (0, 2, 0))), cache)
+        assert len(cache) == 1
+        assert cache.get((1, 0, 0, 0, 1, 0, 0, 0, 1)) == Fraction(1, 6)
+        assert cache.get((0, 0, 0, 0, 0, 2, 0, 2, 0)) is None
+
+    def test_put_keeps_a_cached_orbit(self):
+        cache = ValueCache()
+        evaluate(IDENT3, cache)
+        cache.put((0, 1, 0, 1, 0, 0, 0, 0, 1), Fraction(5))
+        assert cache.get((0, 1, 0, 1, 0, 0, 0, 0, 1)) == Fraction(-1, 6)
         assert len(cache) == 1
 
     def test_returns_exact_rationals(self):

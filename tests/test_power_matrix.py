@@ -14,6 +14,7 @@ from rotavg import (
     apply_symmetry,
     canonicalize,
     determinant,
+    enumerate_power_matrices,
     from_multi_index,
     orbit,
     selection_rule,
@@ -107,6 +108,14 @@ class TestSelectionRule:
     @given(power_matrices(), symmetry_ops)
     def test_invariant_under_symmetries(self, chi, op):
         assert selection_rule(apply_symmetry(chi, op)) == selection_rule(chi)
+
+    def test_four_checks_match_the_six_check_definition(self):
+        # the rule skips the third row and column, whose parity follows
+        for n in range(11):
+            for chi in enumerate_power_matrices(n):
+                f = chi.flat
+                lines = (f[0:3], f[3:6], f[6:9], f[0::3], f[1::3], f[2::3])
+                assert selection_rule(chi) == all(sum(line) & 1 == n & 1 for line in lines), f
 
 
 class TestDeterminant:

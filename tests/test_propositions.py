@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import SELECTION_PASSING_6
+from conftest import SELECTION_PASSING_6, nonzero_sign_minima
 from rotavg import (
     RANK8_EXCEPTION,
     RANK9_EXCEPTION,
@@ -350,6 +350,10 @@ class TestRankTable:
             for nonzero in (False, True):
                 rows = list(rank_table(n, ValueCache(), nonzero=nonzero, canonical_only=True))
                 assert rows == [(chi, value) for chi, value in expected if not nonzero or value]
+
+    def test_closed_form_runs_once_per_nonzero_sign_orbit(self, closed_form_calls):
+        list(rank_table(9, ValueCache()))
+        assert sorted(closed_form_calls) == nonzero_sign_minima(chi.flat for chi in enumerate_power_matrices(9))
 
     def test_thread_count_does_not_change_rows(self):
         single = list(rank_table(6, ValueCache(), threads=1))

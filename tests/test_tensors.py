@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from conftest import nonzero_sign_minima
+
 import rotavg
 from rotavg import (
     AngleTriple,
@@ -27,6 +29,7 @@ from rotavg import (
     from_multi_index,
     group_by_power_matrix,
 )
+from rotavg.power_matrix import _pair_flat
 
 
 def brute_force_component(lab, tensor):
@@ -529,6 +532,14 @@ class TestPairCodeKernel:
         t = DenseTensor(rank=127, components={lab: Fraction(3, 2)})
         chi = from_multi_index(MultiIndex(lab, lab))
         assert average_component(lab, t) == Fraction(3, 2) * evaluate(chi) != 0
+
+    def test_closed_form_runs_once_per_nonzero_sign_orbit(self, closed_form_calls):
+        rng = random.Random(5)
+        values = {idx: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for idx in DenseTensor.index_space(5)}
+        t = DenseTensor(rank=5, components=values)
+        average_tensor(t, cache=ValueCache())
+        pairs = [_pair_flat(lab, mol) for lab in DenseTensor.index_space(5) for mol in t.components]
+        assert sorted(closed_form_calls) == nonzero_sign_minima(pairs)
 
     def test_cache_limit_is_honoured(self):
         t = DenseTensor(rank=4, components={(1, 1, 2, 2): 1, (1, 2, 1, 2): 2})
