@@ -6,8 +6,9 @@ it early.  Commands raise; main alone maps a RankLimitError to 3 and any
 other ValueError or OSError to 2, with one "error:" line on stderr.
 Integer inputs are ASCII digits with an optional minus sign.  Exact
 rationals render as "p/q"; floats are shortest round-trip.  The optional
-ROTAVG_CACHE_LIMIT environment variable caps the cached orbits; a full
-cache makes walks evaluate each flat, not each orbit, to the same output.
+ROTAVG_CACHE_LIMIT environment variable caps the orbits that full enumerate
+walks, average, compute and verify's Monte Carlo battery cache; canonical
+walks cache nothing, and a full cache changes no output.
 """
 
 from __future__ import annotations
@@ -335,13 +336,12 @@ def _cmd_verify(args) -> int:
         )
     if "mc" in suites and args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    # one walk per rank, shared by the oracle, beta and props suites; the
-    # walk of each rank visits all binom(n+8, 8) flats
+    # one canonical walk per rank, shared by the oracle, beta and props suites
     walked = [] if suites == ["mc"] else ranks
     if walked:
         _check_ceiling(walked[-1], DEFAULT_ENUMERATE_LIMIT)
-    cache = _cache_from_env()
-    rows = {n: list(rank_table(n, cache, canonical_only=True)) for n in walked}
+    cache = _cache_from_env()  # for the Monte Carlo battery; the walks cache nothing
+    rows = {n: list(rank_table(n, canonical_only=True)) for n in walked}
     outcomes = {suite: SUITES[suite](rows, args, cache) for suite in suites}
     ok = all(outcome["pass"] for outcome in outcomes.values())
     print(json.dumps({"ranks": args.ranks, "suites": outcomes, "pass": ok}, indent=2))

@@ -362,6 +362,15 @@ class ValueCache:
     def get(self, key: Flat) -> Optional[Fraction]:
         return self._data.get(key)
 
+    def value(self, flat: Flat) -> Fraction:
+        """The exact value of a selection-passing flat, cached or else evaluated and cached."""
+        value = self._data.get(flat)
+        if value is None:
+            rep, sign, value = _orbit_value(flat)
+            self.put(rep, value)
+            value = _by_sign(value)[sign]
+        return value
+
     def put(self, key: Flat, value: Fraction) -> None:
         if key in self._data or (self.limit is not None and self._orbits >= self.limit):
             return
@@ -382,6 +391,12 @@ def shared_cache() -> ValueCache:
     return _SHARED_CACHE
 
 
+def _orbit_value(flat: Flat) -> tuple[Flat, int, Fraction]:
+    """flat's orbit minimum, flat's sign to it and, uncached, the closed form there (0 at sign 0)."""
+    rep, sign = canonical_flat(flat)
+    return rep, sign, closed_form(PowerMatrix._trusted(rep)) if sign else _ZERO
+
+
 def evaluate(chi: PowerMatrix, cache: Optional[ValueCache] = None) -> Fraction:
     """Exact rotational average of chi with shortcuts and orbit caching.
 
@@ -394,10 +409,4 @@ def evaluate(chi: PowerMatrix, cache: Optional[ValueCache] = None) -> Fraction:
         cache = _SHARED_CACHE
     if not selection_rule(chi):
         return _ZERO
-    value = cache.get(chi.flat)
-    if value is None:
-        rep, sign = canonical_flat(chi.flat)
-        value = closed_form(PowerMatrix._trusted(rep)) if sign else _ZERO
-        cache.put(rep, value)
-        value = _by_sign(value)[sign]
-    return value
+    return cache.value(chi.flat)

@@ -16,7 +16,7 @@ from math import comb
 from operator import sub
 from typing import Iterable, Iterator, Optional
 
-from .evaluator import _ZERO, ValueCache, double_factorial, evaluate
+from .evaluator import _ZERO, ValueCache, _orbit_value, double_factorial
 from .power_matrix import (
     Flat,
     PowerMatrix,
@@ -191,35 +191,35 @@ def _is_odd_prime(n: int) -> bool:
     return True
 
 
-def _sweep(n: int, cache: Optional[ValueCache], accepts, required: str) -> tuple:
+def _sweep(n: int, accepts, required: str) -> tuple:
     """_rank_checks over the canonical walk of rank n, once n is an int rank accepts takes."""
     n = _strict_int(n, "rank", 0)
     if not accepts(n):
         raise ValueError(required)
-    return _rank_checks(n, rank_table(n, cache, canonical_only=True))
+    return _rank_checks(n, rank_table(n, canonical_only=True))
 
 
 def verify_even_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
     """Check "average nonzero iff the selection rule holds" over all rank-n matrices.
 
     Expected to hold for n in {0, 2, 4, 6, 10, 12}; at n = 8 the witnesses
-    are exactly the orbit of RANK8_EXCEPTION.
+    are exactly the orbit of RANK8_EXCEPTION.  ``cache`` is neither read nor filled.
     """
-    return _sweep(n, cache, lambda k: k % 2 == 0, "even rank required")[0]
+    return _sweep(n, lambda k: k % 2 == 0, "even rank required")[0]
 
 
 def verify_odd_rule(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
     """Check "average nonzero iff selection rule holds and det != 0" at odd rank n.
 
     Expected to hold for n in {1, 3, 5, 7, 11, 13}; at n = 9 the witnesses
-    are exactly the orbit of RANK9_EXCEPTION.
+    are exactly the orbit of RANK9_EXCEPTION.  ``cache`` is neither read nor filled.
     """
-    return _sweep(n, cache, lambda k: k % 2, "odd rank required")[0]
+    return _sweep(n, lambda k: k % 2, "odd rank required")[0]
 
 
 def verify_prime_nonvanishing(n: int, cache: Optional[ValueCache] = None) -> PropositionReport:
-    """At odd prime rank n: nonzero whenever the selection rule holds and n ∤ det."""
-    return _sweep(n, cache, _is_odd_prime, "odd prime rank required")[1]
+    """At odd prime rank n: nonzero if the selection rule holds and n ∤ det; cache unused."""
+    return _sweep(n, _is_odd_prime, "odd prime rank required")[1]
 
 
 def prop_converse_witnesses(n: int, cache: Optional[ValueCache] = None) -> list[PowerMatrix]:
@@ -227,8 +227,9 @@ def prop_converse_witnesses(n: int, cache: Optional[ValueCache] = None) -> list[
 
     These witness that divisibility of the determinant by the rank does not
     force the average to vanish.  Found by scanning; nothing is hard-coded.
+    ``cache`` is neither read nor filled.
     """
-    return _sweep(n, cache, _is_odd_prime, "odd prime rank required")[2]
+    return _sweep(n, _is_odd_prime, "odd prime rank required")[2]
 
 
 def counterexample_family(v: int, y: int, w: int) -> PowerMatrix:
@@ -283,12 +284,12 @@ def _table_blocks(
     rows holds the selection-passing flats and every other flat is zero;
     with ``canonical_only`` it holds the orbit minima, the only flats kept.
     The full walk reads each row's value from the cache, which answers every
-    member of an orbit once the walk has evaluated its first, the minimum.
+    member of an orbit once the walk has evaluated its first, the minimum;
+    the canonical walk evaluates each minimum once and leaves the cache alone.
     """
     n = _strict_int(n, "rank", 0)
     suffixes = _suffix_lists(n)
-    walk = _minima_rows if canonical_only else _full_rows
-    return suffixes, walk(n, cache, suffixes)
+    return suffixes, _minima_rows(n, suffixes) if canonical_only else _full_rows(n, cache, suffixes)
 
 
 def _full_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
@@ -299,31 +300,26 @@ def _full_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
         for i, tail in enumerate(tails):
             by_signature.setdefault(_suffix_signature(*tail) ^ target, []).append(i)
         passing.append(by_signature)
+    value = cache.value
     for composition in _compositions(n, _PREFIX_LEN + 1):
         prefix, r = composition[:_PREFIX_LEN], composition[_PREFIX_LEN]
         tails = suffixes[r]
         rows = []
         for i in passing[r].get(_prefix_signature(*prefix), ()):
-            flat = prefix + tails[i]
-            value = cache.get(flat)
-            if value is None:  # the orbit's first flat, or a full cache
-                value = evaluate(PowerMatrix._trusted(flat), cache)
-            rows.append((i, value))
+            rows.append((i, value(prefix + tails[i])))
         yield prefix, r, rows
 
 
-def _minima_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
+def _minima_rows(n: int, suffixes: list[list[Flat]]):
     target = _selection_target(n)
     for prefix, r, positions in _minima_blocks(n, suffixes):
         tails = suffixes[r]
         want = _prefix_signature(*prefix) ^ target
-        rows = []
-        for i in positions:
-            tail = tails[i]
-            value = _ZERO  # every zero row holds this one object, as the cache does
-            if _suffix_signature(*tail) == want:
-                value = evaluate(PowerMatrix._trusted(prefix + tail), cache)
-            rows.append((i, value))
+        # each flat is its own orbit's minimum; every zero row holds the one _ZERO object
+        rows = [
+            (i, _orbit_value(prefix + tails[i])[2] if _suffix_signature(*tails[i]) == want else _ZERO)
+            for i in positions
+        ]
         yield prefix, r, rows
 
 
@@ -338,7 +334,8 @@ def rank_table(
 
     Values match :func:`rotavg.evaluator.evaluate` exactly, whose closed form
     runs once per selection-passing orbit of nonzero sign.  ``canonical_only``
-    keeps only the orbit minima.  While the cache has room, rows of one
+    keeps only the orbit minima, each evaluated once, and neither reads nor
+    fills the cache.  While the cache has room, rows of one full walk's
     orbit share value objects.  The rows are those of :func:`_table_blocks`,
     flattened.  ``threads`` is accepted for compatibility and ignored.
     """

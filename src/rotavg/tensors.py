@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluator import ValueCache, evaluate, shared_cache
+from .evaluator import ValueCache, shared_cache
 from .power_matrix import _PERMS3, PowerMatrix, _axes, _pair_flat, _perm_sign, _strict_int
 from .rationals import format_rational, parse_rational
 
@@ -245,13 +245,6 @@ class _PairKernel:
         else:
             self.values = np.array(values, dtype=np.float64)
 
-    def _weight(self, flat: tuple[int, ...]):
-        """The exact average of a selection-passing flat; a float in float mode, where it multiplies."""
-        weight = self.cache.get(flat)
-        if weight is None:  # the orbit's first flat met, or a full cache
-            weight = evaluate(PowerMatrix._trusted(flat), self.cache)
-        return weight if self.exact else float(weight)
-
     def images(self, labs: np.ndarray) -> list[list]:
         """values[p][r]: the average at relabeling p (in _RELABELINGS order) of lab row r.
 
@@ -298,7 +291,7 @@ class _PairKernel:
         # rows pass the selection rule with the lab, the third column with the first two
         parity = (first.sum(axis=1) & 1 == n & 1) & (second.sum(axis=1) & 1 == n & 1)
         passing = np.flatnonzero(parity) if all((c - n) & 1 == 0 for c in counts) else []
-        weights = [self._weight(flat) for flat in map(tuple, flats[passing].tolist())]
+        weights = list(map(self.cache.value, map(tuple, flats[passing].tolist())))
         live = [column for column, weight in zip(passing, weights) if weight]
         weights = [weight for weight in weights if weight]
         partials = partials[:, columns[live]]
@@ -314,7 +307,7 @@ class _PairKernel:
         padded = np.zeros((k, len(live) + 1))
         sums = []
         with np.errstate(over="ignore", invalid="ignore"):
-            products = partials * weights
+            products = partials * np.array(weights, dtype=np.float64)
             for relabel, sign in _RELABELINGS:
                 # accumulate adds left to right, as np.sum does not
                 padded[:, 1:] = products[:, _image_order(digits, relabel)]

@@ -78,6 +78,10 @@ def representatives_are_fixed_points(capsys, tmp_path):
     test_propositions.TestOrbitScan().test_representatives_are_the_canonical_fixed_points(3)
 
 
+def canonical_table_filter(capsys, tmp_path):
+    test_propositions.TestRankTable().test_canonical_filter()
+
+
 def mc_report(capsys, tmp_path):
     test_oracle.TestCliMonteCarloReport().test_mc_report_matches_the_reference(capsys, 1)
 
@@ -137,7 +141,7 @@ MUTANTS = [
     ),
     (
         "every-flat-an-orbit-minimum", rotavg.propositions, "is_orbit_minimum", lambda: lambda flat: True,
-        [representatives_are_fixed_points, canonical_csv_digest(6)],
+        [representatives_are_fixed_points, canonical_csv_digest(6), canonical_table_filter],
     ),
     ("mc-chunk-halved", rotavg.oracle, "_MC_CHUNK", lambda: 1 << 15, [mc_report]),
     (

@@ -33,6 +33,10 @@ class TestPowerMatrix:
             PowerMatrix.from_rows([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
             PowerMatrix.from_flat((1, 2, 3))
+        with pytest.raises(ValueError):
+            PowerMatrix([[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValueError):
+            PowerMatrix([[1, 0, 0], [0, 1], [0, 0, 1]])
         # a non-iterable once raised TypeError from from_rows and from_flat
         with pytest.raises(ValueError):
             PowerMatrix(5)
@@ -45,6 +49,9 @@ class TestPowerMatrix:
     def test_rejects_non_integer_entries(self, entry):
         with pytest.raises(ValueError):
             PowerMatrix(((entry, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    def test_str(self):
+        assert str(IDENT3) == "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"
 
     def test_flat_and_rank(self):
         chi = PowerMatrix(((1, 2, 3), (4, 5, 6), (7, 8, 9)))

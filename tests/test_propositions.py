@@ -343,10 +343,12 @@ class TestRankTable:
         assert len(rows) == 9
         assert all(value == Fraction(1, 3) for _, value in rows)
 
-    def test_canonical_filter(self, cache):
-        # the table's minima against canonical_representatives, and its values against evaluate
+    def test_canonical_filter(self):
+        # against a reference that shares no walk: the fixed points of canonical_flat, valued by evaluate
         for n in range(12):
-            expected = [(chi, evaluate(chi, cache)) for chi in canonical_representatives(n)]
+            cache = ValueCache()
+            minima = (chi for chi in enumerate_power_matrices(n) if canonical_flat(chi.flat)[0] == chi.flat)
+            expected = [(chi, evaluate(chi, cache)) for chi in minima]
             for nonzero in (False, True):
                 rows = list(rank_table(n, ValueCache(), nonzero=nonzero, canonical_only=True))
                 assert rows == [(chi, value) for chi, value in expected if not nonzero or value]
@@ -354,6 +356,20 @@ class TestRankTable:
     def test_closed_form_runs_once_per_nonzero_sign_orbit(self, closed_form_calls):
         list(rank_table(9, ValueCache()))
         assert sorted(closed_form_calls) == nonzero_sign_minima(chi.flat for chi in enumerate_power_matrices(9))
+
+    def test_canonical_walk_runs_closed_form_once_per_nonzero_sign_orbit(self, closed_form_calls):
+        list(rank_table(9, ValueCache(), canonical_only=True))
+        assert sorted(closed_form_calls) == nonzero_sign_minima(chi.flat for chi in enumerate_power_matrices(9))
+
+    def test_canonical_walks_cache_nothing(self):
+        cache = ValueCache()
+        list(rank_table(9, cache, canonical_only=True))
+        assert len(cache) == 0
+        verify_even_rule(8, cache)
+        verify_odd_rule(9, cache)
+        verify_prime_nonvanishing(7, cache)
+        prop_converse_witnesses(7, cache)
+        assert len(cache) == 0
 
     def test_thread_count_does_not_change_rows(self):
         single = list(rank_table(6, ValueCache(), threads=1))
