@@ -5,10 +5,9 @@ Exit codes are stable: 0 success, 1 verification violation, 2 parse error,
 it early.  Commands raise; main alone maps a RankLimitError to 3 and any
 other ValueError or OSError to 2, with one "error:" line on stderr.
 Integer inputs are ASCII digits with an optional minus sign.  Exact
-rationals render as "p/q"; floats are shortest round-trip.  The optional
-ROTAVG_CACHE_LIMIT environment variable caps the orbits that full enumerate
-walks, average, compute and verify's Monte Carlo battery cache; canonical
-walks cache nothing, and a full cache changes no output.
+rationals render as "p/q"; floats are shortest round-trip.  Each command
+makes one fresh, unbounded orbit cache for full enumerate walks, average,
+compute and verify's Monte Carlo battery; canonical walks cache nothing.
 """
 
 from __future__ import annotations
@@ -70,15 +69,6 @@ def ceiling(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"a rank ceiling must be at least 0, not {value}")
     return value
-
-
-def _cache_from_env() -> ValueCache:
-    raw = os.environ.get("ROTAVG_CACHE_LIMIT")
-    if raw is None:
-        return ValueCache()
-    if not _INTEGER.fullmatch(raw):
-        raise ValueError(f"bad ROTAVG_CACHE_LIMIT: {raw!r}")
-    return ValueCache(limit=int(raw))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -147,14 +137,14 @@ def _output_record(chi: PowerMatrix, cache: ValueCache) -> dict:
 def _cmd_compute(args) -> int:
     chi = _parse_chi(args.chi) if args.chi is not None else _parse_indices(args.indices)
     _check_ceiling(chi.rank, args.max_rank)
-    print(json.dumps(_output_record(chi, _cache_from_env())))
+    print(json.dumps(_output_record(chi, ValueCache())))
     return EXIT_OK
 
 
 def _cmd_average(args) -> int:
     with open(args.tensor_file, "r", encoding="utf-8") as handle:
         tensor = DenseTensor.from_json_obj(_load_json(handle.read(), "tensor file"))
-    averaged = average_tensor(tensor, max_rank=args.max_rank, cache=_cache_from_env())
+    averaged = average_tensor(tensor, max_rank=args.max_rank, cache=ValueCache())
     payload = averaged.to_json_text(args.nonzero_only)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -189,7 +179,7 @@ def _cmd_enumerate(args) -> int:
     if n < 0:  # before the csv header goes out
         raise ValueError(f"rank must be nonnegative, got {n}")
     _check_ceiling(n, args.max_rank)
-    suffixes, blocks = _table_blocks(n, _cache_from_env(), args.canonical)
+    suffixes, blocks = _table_blocks(n, ValueCache(), args.canonical)
     header, matrix, tail = _ENUMERATE_TEMPLATES[args.format]
     head, middle = _split_matrix_template(matrix)
     # per remainder, each suffix's text followed by a zero row's tail; a full
@@ -240,7 +230,7 @@ def _parse_rank_range(text: str) -> range:
     raise ValueError(f"bad rank range {text!r}; expected N or N..M")
 
 
-def _suite_oracle(rows, args, cache) -> dict:
+def _suite_oracle(rows, args) -> dict:
     worst = 0.0
     worst_chi = None
     checked = 0
@@ -260,7 +250,7 @@ def _suite_oracle(rows, args, cache) -> dict:
     }
 
 
-def _suite_beta(rows, args, cache) -> dict:
+def _suite_beta(rows, args) -> dict:
     checked = 0
     failures = []
     for rank_rows in rows.values():
@@ -272,7 +262,7 @@ def _suite_beta(rows, args, cache) -> dict:
     return {"checked": checked, "failures": failures, "pass": not failures}
 
 
-def _suite_props(rows, args, cache) -> dict:
+def _suite_props(rows, args) -> dict:
     # read at call time, so a patched exception is the one enforced
     exceptions = {8: RANK8_EXCEPTION, 9: RANK9_EXCEPTION}
     per_rank = []
@@ -292,8 +282,9 @@ def _suite_props(rows, args, cache) -> dict:
     return {"ranks": per_rank, "pass": all(entry["pass"] for entry in per_rank)}
 
 
-def _suite_mc(rows, args, cache) -> dict:
+def _suite_mc(rows, args) -> dict:
     battery = default_mc_battery()
+    cache = ValueCache()
     results = []
     covered = 0
     for i, chi in enumerate(battery):
@@ -321,7 +312,7 @@ def _suite_mc(rows, args, cache) -> dict:
 
 
 # every suite by name, in the order `--suite all` runs and reports them; each
-# takes the walked rows, the parsed arguments and the cache, reading what it needs
+# takes the walked rows and the parsed arguments, reading what it needs
 SUITES = {"oracle": _suite_oracle, "beta": _suite_beta, "props": _suite_props, "mc": _suite_mc}
 
 
@@ -340,9 +331,8 @@ def _cmd_verify(args) -> int:
     walked = [] if suites == ["mc"] else ranks
     if walked:
         _check_ceiling(walked[-1], DEFAULT_ENUMERATE_LIMIT)
-    cache = _cache_from_env()  # for the Monte Carlo battery; the walks cache nothing
     rows = {n: list(rank_table(n, canonical_only=True)) for n in walked}
-    outcomes = {suite: SUITES[suite](rows, args, cache) for suite in suites}
+    outcomes = {suite: SUITES[suite](rows, args) for suite in suites}
     ok = all(outcome["pass"] for outcome in outcomes.values())
     print(json.dumps({"ranks": args.ranks, "suites": outcomes, "pass": ok}, indent=2))
     return EXIT_OK if ok else EXIT_VIOLATION

@@ -102,8 +102,7 @@ def _gamma_half(two_x: int) -> tuple[Fraction, int]:
 
 def beta_half_args(a: int, b: int) -> PiRational:
     """Exact beta function B((1+a)/2, (1+b)/2) for integers a, b >= 0."""
-    if a < 0 or b < 0:
-        raise ValueError("beta arguments must be nonnegative")
+    a, b = _strict_int(a, "beta argument", 0), _strict_int(b, "beta argument", 0)
     cx, sx = _gamma_half(1 + a)
     cy, sy = _gamma_half(1 + b)
     cz, sz = _gamma_half(2 + a + b)
@@ -305,6 +304,9 @@ def special_q1(chi: PowerMatrix) -> Fraction:
 
 
 def _as_half_integer(j) -> Fraction:
+    # Fraction() alone reads True as 1 and "1" as 1
+    if isinstance(j, (bool, str)):
+        raise ValueError(f"not a half-integer: {j!r}")
     value = Fraction(j)
     if (2 * value).denominator != 1:
         raise ValueError(f"not a half-integer: {j!r}")
@@ -340,24 +342,18 @@ def threej000_squared(j1, j2, j3) -> Fraction:
     )
 
 
-def _by_sign(value: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """The values of an orbit's members whose sign relative to value is 0, 1 and -1."""
-    return (_ZERO, value, -value) if value else (_ZERO, _ZERO, _ZERO)
-
-
 class ValueCache:
     """Memo of exact values, one entry per orbit of the 72 symmetries.
 
     ``put(key, value)`` stores value under key and the signed value under
-    every other image, so ``get`` answers any orbit member.  ``len`` and
-    the optional ``limit`` count orbits; a full cache stops growing
-    without affecting results.
+    every other image, so ``get`` answers any orbit member; ``len`` counts
+    orbits.  The cache never evicts: it holds at most 72 keys per orbit
+    evaluated, and the rank ceilings bound the orbits a run evaluates.
     """
 
-    def __init__(self, limit: Optional[int] = None):
+    def __init__(self):
         self._data: dict[Flat, Fraction] = {}
         self._orbits = 0
-        self.limit = None if limit is None else _strict_int(limit, "cache limit", 0)
 
     def get(self, key: Flat) -> Optional[Fraction]:
         return self._data.get(key)
@@ -366,15 +362,15 @@ class ValueCache:
         """The exact value of a selection-passing flat, cached or else evaluated and cached."""
         value = self._data.get(flat)
         if value is None:
-            rep, sign, value = _orbit_value(flat)
-            self.put(rep, value)
-            value = _by_sign(value)[sign]
+            self.put(*_orbit_value(flat))
+            value = self._data[flat]
         return value
 
     def put(self, key: Flat, value: Fraction) -> None:
-        if key in self._data or (self.limit is not None and self._orbits >= self.limit):
+        if key in self._data:
             return
-        by_sign = _by_sign(value)
+        # the values of the images whose sign relative to key is 0, 1 and -1
+        by_sign = (_ZERO, value, -value) if value else (_ZERO, _ZERO, _ZERO)
         for image, sign in orbit_signs(key).items():
             self._data[image] = by_sign[sign]
         self._orbits += 1
@@ -391,10 +387,10 @@ def shared_cache() -> ValueCache:
     return _SHARED_CACHE
 
 
-def _orbit_value(flat: Flat) -> tuple[Flat, int, Fraction]:
-    """flat's orbit minimum, flat's sign to it and, uncached, the closed form there (0 at sign 0)."""
+def _orbit_value(flat: Flat) -> tuple[Flat, Fraction]:
+    """flat's orbit minimum and, uncached, the closed form there (0 when flat's sign to it is 0)."""
     rep, sign = canonical_flat(flat)
-    return rep, sign, closed_form(PowerMatrix._trusted(rep)) if sign else _ZERO
+    return rep, closed_form(PowerMatrix._trusted(rep)) if sign else _ZERO
 
 
 def evaluate(chi: PowerMatrix, cache: Optional[ValueCache] = None) -> Fraction:

@@ -191,6 +191,8 @@ def invariance_probe(
     probes the left/right invariance the average is built on.
     """
     h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():  # a NaN fails no tolerance comparison below
+        raise ValueError("h has a non-finite entry")
     if h.shape != (3, 3) or np.abs(h.T @ h - np.eye(3)).max() > 1e-10:
         raise ValueError("h is not orthogonal to within 1e-10")
     if abs(np.linalg.det(h) - 1.0) > 1e-10:

@@ -59,10 +59,12 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 # of the 6-part compositions of n, whose last part r is what the suffix must
 # sum to; walking prefixes in lexicographic order, and each prefix's block of
 # suffixes in lexicographic order, visits the flats in lexicographic order.
-# A flat's parity signature has bit k set when row k (k < 3) or column k - 3
-# has an odd sum; the selection rule holds iff every bit equals the rank's
-# parity, and the signature is the prefix's XOR the suffix's.  The CLI's
-# enumerate renderer splits its row templates at the same place.
+# A flat's parity signature has bits 0 and 1 set when rows 1 and 2 have odd
+# sums, and bits 2 and 3 when columns 1 and 2 do.  As in _selection_flat,
+# the third row and column follow from these, so the selection rule holds
+# iff every bit equals the rank's parity.  The signature is the prefix's XOR
+# the suffix's.  The CLI's enumerate renderer splits its row templates at
+# the same place.
 _PREFIX_LEN = 5
 
 
@@ -76,22 +78,16 @@ def _suffix_lists(n: int) -> list[list[Flat]]:
 
 
 def _prefix_signature(f0: int, f1: int, f2: int, f3: int, f4: int) -> int:
-    return (
-        (f0 + f1 + f2) & 1
-        | ((f3 + f4) & 1) << 1
-        | ((f0 + f3) & 1) << 3
-        | ((f1 + f4) & 1) << 4
-        | (f2 & 1) << 5
-    )
+    return (f0 + f1 + f2) & 1 | ((f3 + f4) & 1) << 1 | ((f0 + f3) & 1) << 2 | ((f1 + f4) & 1) << 3
 
 
 def _suffix_signature(f5: int, f6: int, f7: int, f8: int) -> int:
-    return (f5 & 1) << 1 | ((f6 + f7 + f8) & 1) << 2 | (f6 & 1) << 3 | (f7 & 1) << 4 | ((f5 + f8) & 1) << 5
+    return (f5 & 1) << 1 | (f6 & 1) << 2 | (f7 & 1) << 3
 
 
 def _selection_target(n: int) -> int:
     """The signature the selection rule asks for: every bit the parity of n."""
-    return 0b111111 if n & 1 else 0
+    return 0b1111 if n & 1 else 0
 
 
 def enumerate_power_matrices(n: int) -> Iterator[PowerMatrix]:
@@ -317,7 +313,7 @@ def _minima_rows(n: int, suffixes: list[list[Flat]]):
         want = _prefix_signature(*prefix) ^ target
         # each flat is its own orbit's minimum; every zero row holds the one _ZERO object
         rows = [
-            (i, _orbit_value(prefix + tails[i])[2] if _suffix_signature(*tails[i]) == want else _ZERO)
+            (i, _orbit_value(prefix + tails[i])[1] if _suffix_signature(*tails[i]) == want else _ZERO)
             for i in positions
         ]
         yield prefix, r, rows
@@ -335,9 +331,9 @@ def rank_table(
     Values match :func:`rotavg.evaluator.evaluate` exactly, whose closed form
     runs once per selection-passing orbit of nonzero sign.  ``canonical_only``
     keeps only the orbit minima, each evaluated once, and neither reads nor
-    fills the cache.  While the cache has room, rows of one full walk's
-    orbit share value objects.  The rows are those of :func:`_table_blocks`,
-    flattened.  ``threads`` is accepted for compatibility and ignored.
+    fills the cache.  Rows of one full walk's orbit share value objects.
+    The rows are those of :func:`_table_blocks`, flattened.  ``threads`` is
+    accepted for compatibility and ignored.
     """
     cache = cache if cache is not None else ValueCache()
     suffixes, blocks = _table_blocks(n, cache, canonical_only)

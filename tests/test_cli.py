@@ -88,14 +88,6 @@ class TestCompute:
         code, _ = run_cli(capsys, "compute", "--indices", "14,22,33")
         assert code == EXIT_PARSE
 
-    def test_cache_limit_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("ROTAVG_CACHE_LIMIT", "0")
-        record = run_json(capsys, "compute", "--chi", "[[0,0,0],[0,0,2],[0,2,0]]")
-        assert record["value"] == "2/15"
-        monkeypatch.setenv("ROTAVG_CACHE_LIMIT", "bogus")
-        code, _ = run_cli(capsys, "compute", "--chi", "[[0,0,0],[0,0,2],[0,2,0]]")
-        assert code == EXIT_PARSE
-
     def test_rank_limit(self, capsys):
         # rank 162 once went to the closed form: compute had no ceiling
         code, out = run_cli(capsys, "compute", "--chi", "[[40,40,0],[40,40,0],[0,0,2]]")
@@ -800,25 +792,6 @@ class TestEnumerateGolden:
         assert digest == ENUMERATE_OTHER_SHA256[rank][form]
 
 
-class TestFullCacheGolden:
-    """With ROTAVG_CACHE_LIMIT=0 every flat is evaluated on its own, to the same bytes."""
-
-    def test_enumerate_digest(self, capsys, monkeypatch):
-        monkeypatch.setenv("ROTAVG_CACHE_LIMIT", "0")
-        reference = json.loads(ENUMERATE_SHA256.read_text(encoding="utf-8"))
-        code, out = run_cli(capsys, "enumerate", "-n", "9")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["json-9"]
-
-    @pytest.mark.parametrize("rank,mode", [(5, "exact"), (7, "float")])
-    def test_average_digest(self, capsys, tmp_path, monkeypatch, rank, mode):
-        monkeypatch.setenv("ROTAVG_CACHE_LIMIT", "0")
-        path = write_tensor(tmp_path, "t.json", seeded_dense_tensor(rank, mode, seed=rank))
-        code, out = run_cli(capsys, "average", path)
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == AVERAGE_STDOUT_SHA256[rank, mode, False]
-
-
 def run_failing(capsys, argv):
     """Run a command that must fail; return (exit code, stderr), checking stdout stays empty."""
     try:
@@ -852,13 +825,6 @@ class TestExitCodes:
         path = write_tensor(tmp_path, "s.json", {"rank": 0, "mode": "exact", "components": []})
         code, _ = run_failing(capsys, [arg.format(text, path=path) for arg in argv])
         assert code == EXIT_PARSE
-
-    @pytest.mark.parametrize("text", ["1_0", " 3", "+3", "\u0663", "-1"])
-    def test_cache_limit_takes_ascii_digits_only(self, capsys, monkeypatch, text):
-        monkeypatch.setenv("ROTAVG_CACHE_LIMIT", text)
-        code, err = run_failing(capsys, ["compute", "--indices", "11,22,33"])
-        assert code == EXIT_PARSE
-        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("indices", ["1\u0663", "\u0661\u0661"])
     def test_index_digits_are_ascii(self, capsys, indices):

@@ -74,6 +74,10 @@ def verify_digest(suite, ranks):
     return check
 
 
+def walk_matches_closed_form(capsys, tmp_path):
+    test_propositions.TestOrbitScan().test_matches_canonical_flat_through_rank_11()
+
+
 def representatives_are_fixed_points(capsys, tmp_path):
     test_propositions.TestOrbitScan().test_representatives_are_the_canonical_fixed_points(3)
 
@@ -133,7 +137,7 @@ MUTANTS = [
     ("float-images-in-lab-order", rotavg.tensors, "_image_order", lambda: lab_order, [average_digests((7, "float"))]),
     (
         "look-ahead-signs-plus-one", rotavg.evaluator, "orbit_signs", lambda: unsigned_orbit_signs,
-        [average_digests((5, "exact"), (7, "exact")), nonzero_enumerate_digest(5)],
+        [average_digests((5, "exact"), (7, "exact")), nonzero_enumerate_digest(5), walk_matches_closed_form],
     ),
     (
         "closed-form-sign-flipped-at-odd-rank", rotavg.evaluator, "closed_form", lambda: odd_sign_flipped,

@@ -177,6 +177,10 @@ class TestInvarianceProbe:
             invariance_probe(chi, np.diag([1.0, 1.0, -1.0]), "left")  # det -1
         with pytest.raises(ValueError):
             invariance_probe(chi, np.ones((3, 3)), "left")
+        # a NaN fails no tolerance comparison, so it once passed both checks
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                invariance_probe(chi, [[bad, 0, 0], [0, 1, 0], [0, 0, 1]], "left")
 
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from rotavg import (
     PowerMatrix,
     ValueCache,
     canonicalize,
+    closed_form,
     closed_form_terms,
     counterexample_family,
     determinant,
@@ -135,14 +136,15 @@ class TestBlockWalk:
 
 class TestOrbitScan:
     def test_matches_canonical_flat_through_rank_11(self):
-        # rank_table's look-ahead walk gives every flat its orbit's signed value
+        # rank_table's look-ahead walk gives every flat its orbit's signed value;
+        # each is checked against the closed form at that flat, not the walk's cache
         cache = ValueCache()
         sign_zero_at_odd_rank = 0
         for n in range(12):
             flats = []
             for chi, value in rank_table(n, cache):
                 flats.append(chi.flat)
-                assert value == evaluate(chi, cache)
+                assert value == (closed_form(chi) if _selection_flat(chi.flat) else 0)
                 if _selection_flat(chi.flat) and canonical_flat(chi.flat)[1] == 0:
                     assert value == 0
                     sign_zero_at_odd_rank += n % 2

@@ -541,12 +541,6 @@ class TestPairCodeKernel:
         pairs = [_pair_flat(lab, mol) for lab in DenseTensor.index_space(5) for mol in t.components]
         assert sorted(closed_form_calls) == nonzero_sign_minima(pairs)
 
-    def test_cache_limit_is_honoured(self):
-        t = DenseTensor(rank=4, components={(1, 1, 2, 2): 1, (1, 2, 1, 2): 2})
-        cache = ValueCache(limit=1)
-        assert average_tensor(t, cache=cache).components == reference_average_tensor(t)
-        assert len(cache) == 1
-
 
 class TestGrouping:
     def test_rank1_three_singletons(self):
