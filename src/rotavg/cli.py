@@ -13,6 +13,7 @@ compute and verify's Monte Carlo battery; canonical walks cache nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -145,12 +146,12 @@ def _cmd_average(args) -> int:
     with open(args.tensor_file, "r", encoding="utf-8") as handle:
         tensor = DenseTensor.from_json_obj(_load_json(handle.read(), "tensor file"))
     averaged = average_tensor(tensor, max_rank=args.max_rank, cache=ValueCache())
-    payload = averaged.to_json_text(args.nonzero_only)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    else:
-        print(payload)
+    blocks = averaged.json_blocks(args.nonzero_only)
+    head = next(blocks)  # every value is rendered by now, so a failure leaves no output behind
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        out.write(head)
+        out.writelines(blocks)
+        out.write("\n")
     return EXIT_OK
 
 

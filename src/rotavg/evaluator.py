@@ -383,7 +383,11 @@ _SHARED_CACHE = ValueCache()
 
 
 def shared_cache() -> ValueCache:
-    """The process-wide default cache used by :func:`evaluate`."""
+    """A process-wide cache that only callers fill, by passing it as ``cache=``.
+
+    No rotavg function fills it on its own: with no cache given, evaluate,
+    average_tensor and average_component each use a throwaway one.
+    """
     return _SHARED_CACHE
 
 
@@ -399,10 +403,11 @@ def evaluate(chi: PowerMatrix, cache: Optional[ValueCache] = None) -> Fraction:
     Returns 0 when the parity selection rule fails.  Any member of a cached
     orbit answers from the cache; a miss scans the orbit once for its
     minimum and sign, runs the closed form there (0 at sign 0) and caches
-    the orbit.  There is no rank-specific branch.
+    the orbit.  There is no rank-specific branch.  With no cache given, a
+    throwaway one serves the call, so no value outlives it.
     """
     if cache is None:
-        cache = _SHARED_CACHE
+        cache = ValueCache()
     if not selection_rule(chi):
         return _ZERO
     return cache.value(chi.flat)

@@ -3,8 +3,9 @@
 import re
 from fractions import Fraction
 
-# what format_rational writes: ASCII digits, no "+", no "/1", a positive denominator
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+# what format_rational writes: ASCII digits, no "+", no "/1", a positive denominator;
+# the groups are the numerator's and the denominator's digits
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def format_rational(value) -> str:

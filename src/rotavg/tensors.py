@@ -13,25 +13,28 @@ each orbit once, and weighs the sums, exact values as integer numerators
 over one common denominator and floats in each relabeled tuple's own
 exponent-matrix order.
 The tensor file format lives here too: ``DenseTensor.from_json_obj`` reads
-it and ``DenseTensor.to_json_text`` writes it, as ``rotavg average`` does.
+it, checking the whole record list at once before falling back to the
+record-by-record loop, and ``DenseTensor.json_blocks`` writes it in blocks
+of records, as ``rotavg average`` does.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import isfinite, lcm
 from numbers import Real
-from sys import float_info
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
-from .evaluator import ValueCache, shared_cache
+from .evaluator import ValueCache
 from .power_matrix import _PERMS3, PowerMatrix, _axes, _pair_flat, _perm_sign, _strict_int
-from .rationals import format_rational, parse_rational
+from .rationals import _RATIONAL_RE, format_rational, parse_rational
 
 IndexTuple = tuple[int, ...]
 
@@ -45,6 +48,9 @@ PAIR_CODE_MAX_RANK = 127
 
 # (lab, component) pairs and (lab, cell) partial sums per numpy pass of the kernel
 _BLOCK = 1 << 16
+
+# index positions that vary within one written block: 3**6 records, about 80 kB
+_TAIL = 6
 
 # the six relabelings of the lab axes, each as (image, sign): image[i] is
 # the new label of axis i (slot 0 unused) and sign the permutation's sign
@@ -60,6 +66,14 @@ def _check_ceiling(rank: int, ceiling: int, name: str = "ceiling") -> None:
         raise RankLimitError(f"rank {rank} exceeds the {name} {ceiling}")
 
 
+def _digit_limit_error(idx: IndexTuple) -> RankLimitError:
+    """The error for a value at idx with more digits than the interpreter's int-string limit allows."""
+    return RankLimitError(
+        f"the value at index {list(idx)} exceeds the interpreter's limit of "
+        f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+    )
+
+
 def _coerce_value(value, mode: str):
     if isinstance(value, bool):  # a bool is an int, but true is no tensor value
         raise ValueError(f"tensor values are numbers, not booleans: {value!r}")
@@ -72,7 +86,7 @@ def _coerce_value(value, mode: str):
             return Fraction(value)
         raise ValueError(f"cannot read exact value {value!r}")
     # NaN, infinities and ints beyond the float range all fail the bound
-    if not isinstance(value, Real) or not abs(value) <= float_info.max:
+    if not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
         raise ValueError("float tensors take finite numbers")
     return float(value)
 
@@ -98,8 +112,55 @@ def _checked_components(pairs, rank: int, mode: str) -> dict[IndexTuple, object]
         idx = _index_tuple(idx, rank)
         if idx in components:
             raise ValueError(f"duplicate index tuple {list(idx)}")
-        components[idx] = _coerce_value(value, mode)
+        try:
+            components[idx] = _coerce_value(value, mode)
+        except ValueError:
+            # a literal of format_rational's form fails to read only past the int-string limit
+            if mode == "exact" and isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
+                raise _digit_limit_error(idx) from None
+            raise
     return {idx: value for idx, value in components.items() if value}
+
+
+def _bulk_components(records: list, rank: int, mode: str) -> Optional[dict[IndexTuple, object]]:
+    """_checked_components of records, checked list-wide; None, also on any exception, if any check fails.
+
+    None leaves records to _checked_components, the one definition of
+    validity, which names the first bad record.  Each distinct exact value
+    is read once, so equal literals share one Fraction.
+    """
+    try:
+        indices = list(map(itemgetter("idx"), records))
+        values = list(map(itemgetter("value"), records))
+        axes = list(chain.from_iterable(indices))
+        exact = mode == "exact"
+        # types, not values: True == 1 == 1.0, so a bool would pass as an axis or a value
+        if (mode not in MODES or set(map(type, records)) - {dict} or set(map(type, indices)) - {list}
+                or set(map(len, indices)) - {rank} or set(map(type, axes)) - {int} or set(axes) - {1, 2, 3}
+                or set(map(type, values)) - ({str, int} if exact else {float, int})):
+            return None
+        if exact:
+            read = {}
+            for value in set(values):
+                if type(value) is int:
+                    read[value] = Fraction(value)
+                else:
+                    literal = _RATIONAL_RE.fullmatch(value)
+                    if literal is None:
+                        return None
+                    read[value] = Fraction(int(literal[1]), int(literal[2] or 1))
+            values, nonzero = list(map(read.__getitem__, values)), all(read.values())
+        elif all(map(isfinite, values)):
+            values = list(map(float, values))
+            nonzero = all(values)
+        else:
+            return None
+        components = dict(zip(map(tuple, indices), values))
+        if len(components) < len(values):  # an index twice
+            return None
+    except Exception:
+        return None
+    return components if nonzero else {idx: value for idx, value in components.items() if value}
 
 
 @dataclass
@@ -156,22 +217,60 @@ class DenseTensor:
         return {"rank": self.rank, "mode": self.mode, "components": records}
 
     def to_json_text(self, nonzero_only: bool = False) -> str:
-        """json.dumps(self.to_json_obj(nonzero_only), indent=2), from one record template."""
+        """json.dumps(self.to_json_obj(nonzero_only), indent=2), joined from json_blocks."""
+        return "".join(self.json_blocks(nonzero_only))
+
+    def json_blocks(self, nonzero_only: bool = False):
+        """The text of to_json_text in blocks, each record of one block sharing its first rank - _TAIL axes.
+
+        Every value is rendered before the first block is yielded, each
+        distinct value object once, so a value past the interpreter's
+        int-string limit raises RankLimitError, naming its index, before
+        any text goes out.
+        """
         # Exact values are Fractions, whose str is the ASCII -?[0-9]+(/[0-9]+)?
         # of format_rational; float values are finite Python floats, whose repr
         # is their JSON number.  Neither needs escaping.
-        axes = ",\n".join(["        %d"] * self.rank)
-        record = (
-            "    {\n"
-            + ('      "idx": [\n' + axes + "\n      ],\n" if axes else '      "idx": [],\n')
-            + '      "value": ' + ('"%s"' if self.mode == "exact" else "%r") + "\n"
-            "    }"
-        )
-        records = ",\n".join([record % (*idx, value) for idx, value in self._items(nonzero_only)])
-        components = "[\n" + records + "\n  ]" if records else "[]"
-        return '{\n  "rank": %d,\n  "mode": "%s",\n  "components": %s\n}' % (
-            self.rank, self.mode, components,
-        )
+        n, exact = self.rank, self.mode == "exact"
+        cut = max(0, n - _TAIL)
+        # each tail's text: its axes, one position at a time, then the value's key
+        tails = [""]
+        for position in range(cut, n):
+            axis = "        %d\n" if position == n - 1 else "        %d,\n"
+            tails = [tail + axis % a for tail in tails for a in (1, 2, 3)]
+        tails = [tail + ("      ],\n" if n else "") + '      "value": ' for tail in tails]
+        opening = '    {\n      "idx": [\n' if n else '    {\n      "idx": [],\n'
+        tail_at = {tail: i for i, tail in enumerate(product((1, 2, 3), repeat=n - cut))}
+        # A value is rendered once per object; each entry keeps its object
+        # alive, so an id is never reused meanwhile.
+        texts: dict = {}
+        rows: dict = {}  # head -> (tail position, value text) per stored component, in index order
+        for idx, value in sorted(self.components.items()):
+            entry = texts.get(id(value))
+            if entry is None:
+                try:
+                    entry = texts[id(value)] = (value, ('"%s"' if exact else "%r") % value + "\n    }")
+                except ValueError:  # str of an int past the limit
+                    raise _digit_limit_error(idx) from None
+            rows.setdefault(idx[:cut], []).append((tail_at[idx[cut:]], entry[1]))
+        if nonzero_only:
+            blocks = rows.items()
+        else:
+            zero = [tail + ('"0"' if exact else "0.0") + "\n    }" for tail in tails]
+            blocks = ((head, rows.get(head, ())) for head in product((1, 2, 3), repeat=cut))
+        yield '{\n  "rank": %d,\n  "mode": "%s",\n  "components": ' % (n, self.mode)
+        separator = "[\n"
+        for head, stored in blocks:
+            prefix = opening + "".join(["        %d,\n" % a for a in head])
+            if nonzero_only:
+                records = [tails[i] + text for i, text in stored]
+            else:
+                records = zero.copy()
+                for i, text in stored:
+                    records[i] = tails[i] + text
+            yield separator + prefix + (",\n" + prefix).join(records)
+            separator = ",\n"
+        yield "[]\n}" if separator == "[\n" else "\n  ]\n}"
 
     @classmethod
     def from_json_obj(cls, obj) -> "DenseTensor":
@@ -185,13 +284,16 @@ class DenseTensor:
             raise ValueError(f"tensor file misses or mangles a required field: {exc}") from exc
         if not isinstance(records, list):
             raise ValueError("'components' must be a list")
+        components = _bulk_components(records, rank, mode)
+        if components is None:
 
-        def pairs():  # each record's (idx, value), checked as the loop reaches it
-            for record in records:
-                if not isinstance(record, dict) or "idx" not in record or "value" not in record:
-                    raise ValueError(f"bad component record: {record!r}")
-                yield record["idx"], record["value"]
-        return cls._trusted(rank, mode, _checked_components(pairs(), rank, mode))
+            def pairs():  # each record's (idx, value), checked as the loop reaches it
+                for record in records:
+                    if not isinstance(record, dict) or "idx" not in record or "value" not in record:
+                        raise ValueError(f"bad component record: {record!r}")
+                    yield record["idx"], record["value"]
+            components = _checked_components(pairs(), rank, mode)
+        return cls._trusted(rank, mode, components)
 
 
 @dataclass(frozen=True)
@@ -223,9 +325,9 @@ class _PairKernel:
     (c_i + 1)**2 with the first row most significant.  Ids sort like the
     flats and add up over positions like them: pairing lab axis i with
     molecular axis m adds (c_i + 1) s_i, s_i or 0 for m = 1, 2, 3, where
-    s_i is row i's place.  Weights come from the evaluator's cache (the
-    shared one unless another is given), which answers every flat of an
-    orbit once the first of them met has been evaluated.
+    s_i is row i's place.  Weights come from the evaluator's cache (a fresh
+    one unless another is given), which answers every flat of an orbit once
+    the first of them met has been evaluated.
     """
 
     def __init__(self, tensor: DenseTensor, cache: Optional[ValueCache]):
@@ -233,8 +335,9 @@ class _PairKernel:
         _check_ceiling(n, PAIR_CODE_MAX_RANK, "pair-code ceiling")
         self.rank = n
         self.exact = tensor.mode == "exact"
-        self.cache = shared_cache() if cache is None else cache
-        self.mols = np.array(list(tensor.components), dtype=np.intp).reshape(len(tensor.components), n) - 1
+        self.cache = ValueCache() if cache is None else cache
+        size = len(tensor.components)
+        self.mols = np.fromiter(chain.from_iterable(tensor.components), np.intp, size * n).reshape(size, n) - 1
         values = list(tensor.components.values())
         if self.exact:
             self.denominator = lcm(*(v.denominator for v in values))
@@ -330,21 +433,24 @@ def _overflow(lab: IndexTuple) -> ValueError:
     return ValueError(f"float overflow in the average at lab index {list(lab)}")
 
 
-def _orbit_first_labs(n: int) -> list[list[IndexTuple]]:
+def _orbit_first_labs(n: int) -> list[np.ndarray]:
     """The zero-based lab tuples that pass the parity rule and use their axes in order of
-    first use, grouped by axis counts, each group in product order.
+    first use, one per row, grouped by axis counts, each group in product order.
 
     Such a lab is the least of its six relabelings, so it is its orbit's first in product order.
     """
-    grown = [((), -1)]  # (lab, its largest axis)
+    labs, top = np.zeros((1, 0), dtype=np.intp), np.full(1, -1)  # top: each lab's largest axis
     for _ in range(n):
-        grown = [(lab + (axis,), max(top, axis)) for lab, top in grown for axis in range(min(top + 2, 3))]
-    classes: dict[tuple[int, int, int], list[IndexTuple]] = {}
-    for lab, _ in grown:
-        counts = (lab.count(0), lab.count(1), lab.count(2))
-        if all((c - n) & 1 == 0 for c in counts):
-            classes.setdefault(counts, []).append(lab)
-    return list(classes.values())
+        # each lab followed by each axis up to one past its largest, in product order
+        rows, axes = np.divmod(np.arange(3 * len(labs)), 3)
+        keep = axes <= top[rows] + 1
+        rows, axes = rows[keep], axes[keep]
+        labs, top = np.column_stack([labs[rows], axes]), np.maximum(top[rows], axes)
+    counts = np.stack([np.count_nonzero(labs == axis, axis=1) for axis in range(3)], axis=1)
+    passing = ((counts - n) & 1 == 0).all(axis=1)
+    labs, key = labs[passing], counts[passing] @ [(n + 1) ** 2, n + 1, 1]
+    order = np.argsort(key, kind="stable")
+    return np.split(labs[order], np.flatnonzero(np.diff(key[order])) + 1) if len(labs) else []
 
 
 def average_component(lab_idx, tensor: DenseTensor, cache: Optional[ValueCache] = None):
@@ -380,15 +486,19 @@ def average_tensor(
     n = tensor.rank
     _check_ceiling(n, max_rank)
     kernel = _PairKernel(tensor, cache)
-    values: dict[IndexTuple, object] = {}
+    images, values = [np.zeros((0, n), dtype=np.intp)], []
     for labs in _orbit_first_labs(n):
-        labs = np.array(labs, dtype=np.intp).reshape(len(labs), n)
         for (relabel, _), image_values in zip(_RELABELINGS, kernel.images(labs)):
-            images = np.array(relabel[1:])[labs].tolist()
-            values.update(zip(map(tuple, images), image_values))
-    if tensor.mode == "float":
-        overflowed = [lab for lab, value in values.items() if not isfinite(value)]
-        if overflowed:
-            raise _overflow(min(overflowed))
-    out = {lab: values[lab] for lab in sorted(values) if values[lab]}
+            images.append(np.array(relabel[1:])[labs])
+            values.extend(image_values)
+    # The images in product order, each once (a lab that uses fewer than
+    # three axes is its own image under some relabelings, with equal values).
+    # A lab's place in product order fits int64 up to rank 39, far past any
+    # rank whose 3**n / 6 orbit-first labs fit in memory.
+    images = np.concatenate(images)
+    _, first = np.unique((images - 1) @ 3 ** np.arange(n - 1, -1, -1), return_index=True)
+    labs, values = map(tuple, images[first].tolist()), [values[i] for i in first.tolist()]
+    if tensor.mode == "float" and not all(map(isfinite, values)):
+        raise _overflow(next(lab for lab, value in zip(labs, values) if not isfinite(value)))
+    out = {lab: value for lab, value in zip(labs, values) if value}
     return DenseTensor._trusted(n, tensor.mode, out)

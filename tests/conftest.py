@@ -1,3 +1,5 @@
+import sys
+
 import hypothesis.strategies as st
 import pytest
 
@@ -77,6 +79,17 @@ def closed_form_calls(monkeypatch):
 
     monkeypatch.setattr(evaluator, "closed_form", counted)
     return calls
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's int-string limit, set to its default of 4300 digits for the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts integers of any length")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
 
 
 def nonzero_sign_minima(flats):

@@ -388,6 +388,46 @@ class TestAverage:
         assert captured.out == ""
         assert captured.err == "error: float overflow in the average at lab index [1, 1, 1, 1]\n"
 
+    def test_an_average_past_the_int_string_limit_is_a_limit(self, capsys, tmp_path, digit_limit):
+        # both literals read, but the average's denominator has about 8000
+        # digits; it once exited 2 with the interpreter's advice, as if the
+        # file were malformed
+        components = [{"idx": [1, 1], "value": f"1/{10**4000 + 1}"}, {"idx": [2, 2], "value": f"1/{3 * 10**4000 + 7}"}]
+        path = write_tensor(tmp_path, "long.json", {"rank": 2, "mode": "exact", "components": components})
+        out = tmp_path / "out.json"
+        for argv in (["average", path], ["average", path, "--nonzero-only", "--out", str(out)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == EXIT_LIMIT
+            assert captured.out == ""
+            assert captured.err == (
+                "error: the value at index [1, 1] exceeds the interpreter's limit of 4300 digits "
+                "for integer string conversion\n"
+            )
+        assert not out.exists()
+
+    def test_a_literal_past_the_int_string_limit_is_a_limit(self, capsys, tmp_path, digit_limit):
+        # it once exited 2 with the interpreter's advice and named no record
+        components = [{"idx": [1], "value": "1/2"}, {"idx": [3], "value": "1" * 5000}]
+        path = write_tensor(tmp_path, "long.json", {"rank": 1, "mode": "exact", "components": components})
+        code = main(["average", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_LIMIT
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the value at index [3] exceeds the interpreter's limit of 4300 digits for integer string conversion\n"
+        )
+
+    @pytest.mark.parametrize("rank", range(7))
+    def test_averaging_an_exact_average_changes_no_byte(self, capsys, tmp_path, rank):
+        # the average is isotropic, so it is its own average (float sums are not bit-idempotent)
+        path = write_tensor(tmp_path, "t.json", seeded_dense_tensor(rank, "exact", seed=100 + rank))
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        assert main(["average", path, "--out", str(once)]) == EXIT_OK
+        assert main(["average", str(once), "--out", str(twice)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert twice.read_bytes() == once.read_bytes()
+
     def test_largest_floats_average_when_no_sum_overflows(self, capsys, tmp_path):
         components = [{"idx": [i, i], "value": 1.7e308} for i in (1, 2, 3)]
         path = write_tensor(tmp_path, "diag.json", {"rank": 2, "mode": "float", "components": components})

@@ -16,7 +16,7 @@ import test_oracle
 import test_power_matrix
 import test_propositions
 from rotavg.cli import main
-from rotavg.evaluator import ValueCache, closed_form
+from rotavg.evaluator import closed_form
 from rotavg.power_matrix import orbit_signs
 from rotavg.tensors import _RELABELINGS, _image_order
 from test_cli import (
@@ -157,12 +157,10 @@ MUTANTS = [
 
 @pytest.mark.parametrize("name,module,attribute,mutant,checks", MUTANTS, ids=[row[0] for row in MUTANTS])
 def test_check_catches_mutant(capsys, tmp_path, monkeypatch, name, module, attribute, mutant, checks):
+    # every check that passes no cache gets a throwaway one, so no value outlives its run
     for check in checks:
-        # a fresh default cache for each run, so no value outlives its run
-        monkeypatch.setattr(rotavg.evaluator, "_SHARED_CACHE", ValueCache())
         check(capsys, tmp_path)
     monkeypatch.setattr(module, attribute, mutant())
     for check in checks:
-        monkeypatch.setattr(rotavg.evaluator, "_SHARED_CACHE", ValueCache())
         with pytest.raises((AssertionError, pytest.fail.Exception)):
             check(capsys, tmp_path)

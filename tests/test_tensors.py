@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from conftest import nonzero_sign_minima
 
 import rotavg
+import rotavg.cli
 from rotavg import (
     AngleTriple,
     DenseTensor,
@@ -216,8 +217,8 @@ class TestDenseTensor:
             DenseTensor.from_json_obj(obj)
 
     def test_reader_checks_each_record_once_in_file_order(self, monkeypatch):
-        # every record passes one loop: each index is read once, zero values
-        # are dropped and the rest keep the file's order
+        # zero values are dropped and the rest keep the file's order, read in
+        # bulk or by the record loop; the loop reads each index once
         calls = []
         index_tuple = rotavg.tensors._index_tuple
 
@@ -227,10 +228,28 @@ class TestDenseTensor:
 
         monkeypatch.setattr(rotavg.tensors, "_index_tuple", counting)
         pairs = [([3, 1], "1/2"), ([1, 2], 0), ([2, 2], "-3"), ([1, 1], "0"), ([2, 3], 4)]
+        expected = [((3, 1), Fraction(1, 2)), ((2, 2), -3), ((2, 3), 4)]
+        records = [{"idx": idx, "value": value} for idx, value in pairs]
+        t = DenseTensor.from_json_obj({"rank": 2, "mode": "exact", "components": records})
+        assert calls == []  # the bulk check read the file
+        assert list(t.components.items()) == expected
+        # a tuple index is valid but never JSON, so the bulk check leaves this file to the loop
+        pairs[2] = ((2, 2), "-3")
         records = [{"idx": idx, "value": value} for idx, value in pairs]
         t = DenseTensor.from_json_obj({"rank": 2, "mode": "exact", "components": records})
         assert calls == [idx for idx, _ in pairs]
-        assert list(t.components.items()) == [((3, 1), Fraction(1, 2)), ((2, 2), -3), ((2, 3), 4)]
+        assert list(t.components.items()) == expected
+
+    def test_a_value_past_the_int_string_limit_is_a_limit(self, digit_limit):
+        # str() of such a value once raised the interpreter's own ValueError
+        big = Fraction(1, 10**digit_limit)
+        t = DenseTensor(rank=2, components={(1, 1): Fraction(1, 3), (2, 3): big, (3, 1): big})
+        message = (
+            r"^the value at index \[2, 3\] exceeds the interpreter's limit of 4300 digits for integer string conversion$"
+        )
+        for nonzero_only in (False, True):
+            with pytest.raises(RankLimitError, match=message):
+                t.to_json_text(nonzero_only)
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -239,6 +258,93 @@ class TestDenseTensor:
         obj = {"rank": -1, "mode": "exact", "components": [{"idx": [1], "value": "1"}]}
         with pytest.raises(ValueError, match="tensor rank must be at least 0"):
             DenseTensor.from_json_obj(obj)
+
+
+def records(*pairs):
+    return [{"idx": idx, "value": value} for idx, value in pairs]
+
+
+# (rank, mode, records) per case: each reader check, and the first bad record
+# after a good one, so the loop must name the right one
+READER_CASES = {
+    "exact-valid": (2, "exact", records(([3, 1], "1/2"), ([1, 2], 0), ([2, 2], "-3"), ([1, 1], "0"), ([2, 3], 4))),
+    "float-valid": (2, "float", records(([2, 1], 0.5), ([1, 1], 0.0), ([3, 3], -2), ([1, 3], 1e-320))),
+    "rank0": (0, "exact", records(([], "3/4"))),
+    "empty": (3, "float", []),
+    "bool-axis": (2, "exact", records(([1, 1], "1"), ([True, 2], "1"))),
+    "bool-value-exact": (1, "exact", records(([1], "1"), ([2], True))),
+    "bool-value-float": (1, "float", records(([1], 1.5), ([2], False))),
+    "float-in-exact": (1, "exact", records(([1], "1"), ([2], 0.5))),
+    "integral-float-in-exact": (1, "exact", records(([1], 1.0),)),
+    "ints-in-exact": (1, "exact", records(([1], 7), ([2], 10**400), ([3], -2))),
+    "ints-in-float": (1, "float", records(([1], 7), ([2], -2), ([3], 0.25))),
+    "huge-int-in-float": (1, "float", records(([1], 7), ([2], 10**400))),
+    "nan": (1, "float", records(([1], 1.0), ([2], math.nan))),
+    "infinity": (1, "float", records(([1], math.inf),)),
+    "minus-infinity": (1, "float", records(([3], -math.inf),)),
+    "nan-in-exact": (1, "exact", records(([1], math.nan),)),
+    "string-in-float": (1, "float", records(([1], "1/2"),)),
+    "ragged-short": (2, "exact", records(([1, 1], "1"), ([1], "1"))),
+    "ragged-long": (2, "exact", records(([1, 1, 1], "1"),)),
+    "empty-idx": (2, "exact", records(([], "1"),)),
+    "string-idx": (2, "exact", records(([1, 1], "1"), ("12", "1"))),
+    "dict-idx": (1, "exact", records(({"1": 1}, "1"),)),
+    "int-idx": (1, "exact", records((1, "1"),)),
+    "float-axis": (2, "exact", records(([1.0, 2], "1"),)),
+    "axis-zero": (2, "exact", records(([0, 1], "1"),)),
+    "axis-four": (2, "float", records(([1, 1], 1.0), ([1, 4], 1.0))),
+    "huge-axis": (1, "exact", records(([2**70], "1"),)),
+    "duplicate": (2, "exact", records(([1, 2], "1"), ([2, 1], "1"), ([1, 2], "2"))),
+    "zero-duplicate": (1, "exact", records(([1], "0"), ([1], "2"))),
+    "rank0-duplicate": (0, "float", records(([], 1.0), ([], 2.0))),
+    "plus-sign": (1, "exact", records(([1], "1"), ([2], "+1/2"))),
+    "padded": (1, "exact", records(([1], " 1/2"),)),
+    "zero-denominator": (1, "exact", records(([1], "1/0"),)),
+    "minus-zero": (1, "exact", records(([1], "-0"), ([2], "1"))),
+    "leading-zeros": (1, "exact", records(([1], "007/3"), ([2], "-4/6"))),
+    "decimal": (1, "exact", records(([1], "1.5"),)),
+    "non-dict-records": (1, "exact", [{"idx": [1], "value": "1"}, [[2], "1"]]),
+    "string-record": (1, "exact", ["idx"]),
+    "null-record": (1, "float", [None]),
+    "missing-value": (1, "exact", [{"idx": [1]}]),
+    "extra-keys": (1, "exact", [{"idx": [1], "value": "1", "note": "kept out"}, {"value": "2", "idx": [2]}]),
+    "5000-digit-literal": (1, "exact", records(([1], "1"), ([3], "1" * 5000), ([2], "+1"))),
+    "bad-mode": (1, "fast", records(([1], "1"),)),
+}
+
+
+def read_outcome(obj, tmp_path, capsys):
+    """from_json_obj's components with their types, or its error; and rotavg average's code, stdout and stderr."""
+    try:
+        tensor = DenseTensor.from_json_obj(json.loads(json.dumps(obj)))
+        read = [(idx, value, type(value)) for idx, value in tensor.components.items()]
+    except ValueError as exc:
+        read = (type(exc), str(exc))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code = rotavg.cli.main(["average", str(path), "--nonzero-only"])
+    captured = capsys.readouterr()
+    return read, (code, captured.out, captured.err)
+
+
+class TestBulkReader:
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_bulk_check_and_record_loop_agree(self, monkeypatch, tmp_path, capsys, case):
+        rank, mode, components = READER_CASES[case]
+        obj = {"rank": rank, "mode": mode, "components": components}
+        bulk = rotavg.tensors._bulk_components
+        read = read_outcome(obj, tmp_path, capsys)
+        monkeypatch.setattr(rotavg.tensors, "_bulk_components", lambda records, rank, mode: None)
+        assert read == read_outcome(obj, tmp_path, capsys)
+        # every valid file is read in bulk, so the comparison covers the bulk path
+        valid = isinstance(read[0], list)
+        assert (bulk(json.loads(json.dumps(components)), rank, mode) is not None) == valid
+
+    def test_equal_literals_share_one_fraction(self):
+        obj = {"rank": 1, "mode": "exact", "components": records(([1], "2/4"), ([2], "1/2"), ([3], "2/4"))}
+        values = list(DenseTensor.from_json_obj(obj).components.values())
+        assert values == [Fraction(1, 2)] * 3
+        assert values[0] is values[2]
 
 
 class TestAverageComponent:
@@ -540,6 +646,33 @@ class TestPairCodeKernel:
         average_tensor(t, cache=ValueCache())
         pairs = [_pair_flat(lab, mol) for lab in DenseTensor.index_space(5) for mol in t.components]
         assert sorted(closed_form_calls) == nonzero_sign_minima(pairs)
+
+
+def test_library_calls_leave_the_shared_cache_empty():
+    # with no cache given, each call answers through a throwaway one, so a
+    # library loop holds no values after it returns
+    shared = rotavg.shared_cache()
+    tensor = seeded_tensor(4, "exact", 1.0, seed=4)
+    rng = random.Random(20)
+    flats = []
+    while len(flats) < 100:  # selection-passing rank-24 flats, each orbit about 10 kB in a cache
+        flat = [0] * 9
+        for _ in range(24):
+            flat[rng.randrange(9)] += 1
+        if rotavg.selection_rule(PowerMatrix.from_flat(flat)):
+            flats.append(flat)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for flat in flats:
+            evaluate(PowerMatrix.from_flat(flat))
+        average_tensor(tensor)
+        average_component((1, 1, 2, 2), tensor)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(shared) == 0
+    assert held < 100_000
 
 
 class TestGrouping:
