@@ -5,9 +5,10 @@ Exit codes are stable: 0 success, 1 verification violation, 2 parse error,
 it early.  Commands raise; main alone maps a RankLimitError to 3 and any
 other ValueError or OSError to 2, with one "error:" line on stderr.
 Integer inputs are ASCII digits with an optional minus sign.  Exact
-rationals render as "p/q"; floats are shortest round-trip.  Each command
-makes one fresh, unbounded orbit cache for full enumerate walks, average,
-compute and verify's Monte Carlo battery; canonical walks cache nothing.
+rationals render as "p/q"; floats are shortest round-trip.  The commands
+build no orbit caches: the full enumerate walk and the tensor kernel under
+average memoize orbit values themselves, and everything else evaluates
+each matrix directly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import re
 import sys
 
-from .evaluator import ValueCache, beta_path, evaluate
+from .evaluator import beta_path, evaluate
 from .oracle import default_mc_battery, monte_carlo_average, quadrature_average
 from .power_matrix import (
     MultiIndex,
@@ -39,7 +40,14 @@ from .propositions import (
     rank_table,
 )
 from .rationals import format_rational
-from .tensors import DEFAULT_MAX_RANK, DenseTensor, RankLimitError, _check_ceiling, average_tensor
+from .tensors import (
+    DEFAULT_MAX_RANK,
+    DenseTensor,
+    RankLimitError,
+    _check_ceiling,
+    _digit_limit_error,
+    average_tensor,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -84,15 +92,28 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def _limited_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # a JSON integer fails to read only past the int-string limit
+        raise _digit_limit_error(f"an integer of {len(digits.lstrip('-'))} digits") from None
+
+
 def _load_json(text: str, what: str):
     """Decoded JSON text; malformed or too deeply nested text is a ValueError naming what.
 
-    An object that repeats a key is a ValueError too.
+    An object that repeats a key is a ValueError too, and an integer past
+    the interpreter's int-string limit is a RankLimitError.
     """
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what} is not valid JSON: {exc}") from None
+    except ValueError:
+        # a repeated key or an integer past the limit; only this second
+        # decode pays a Python call per integer, to tell which comes first
+        json.loads(text, object_pairs_hook=_unique_keys, parse_int=_limited_int)
+        raise
 
 
 def _parse_chi(text: str) -> PowerMatrix:
@@ -113,8 +134,8 @@ def _parse_indices(text: str) -> PowerMatrix:
     return from_multi_index(MultiIndex(labs, mols))
 
 
-def _output_record(chi: PowerMatrix, cache: ValueCache) -> dict:
-    value = evaluate(chi, cache)
+def _output_record(chi: PowerMatrix) -> dict:
+    value = evaluate(chi)
     canon = canonicalize(chi)
     reason = None
     if value == 0:
@@ -138,14 +159,14 @@ def _output_record(chi: PowerMatrix, cache: ValueCache) -> dict:
 def _cmd_compute(args) -> int:
     chi = _parse_chi(args.chi) if args.chi is not None else _parse_indices(args.indices)
     _check_ceiling(chi.rank, args.max_rank)
-    print(json.dumps(_output_record(chi, ValueCache())))
+    print(json.dumps(_output_record(chi)))
     return EXIT_OK
 
 
 def _cmd_average(args) -> int:
     with open(args.tensor_file, "r", encoding="utf-8") as handle:
         tensor = DenseTensor.from_json_obj(_load_json(handle.read(), "tensor file"))
-    averaged = average_tensor(tensor, max_rank=args.max_rank, cache=ValueCache())
+    averaged = average_tensor(tensor, max_rank=args.max_rank)
     blocks = averaged.json_blocks(args.nonzero_only)
     head = next(blocks)  # every value is rendered by now, so a failure leaves no output behind
     with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as out:
@@ -180,7 +201,7 @@ def _cmd_enumerate(args) -> int:
     if n < 0:  # before the csv header goes out
         raise ValueError(f"rank must be nonnegative, got {n}")
     _check_ceiling(n, args.max_rank)
-    suffixes, blocks = _table_blocks(n, ValueCache(), args.canonical)
+    suffixes, blocks = _table_blocks(n, args.canonical)
     header, matrix, tail = _ENUMERATE_TEMPLATES[args.format]
     head, middle = _split_matrix_template(matrix)
     # per remainder, each suffix's text followed by a zero row's tail; a full
@@ -285,12 +306,11 @@ def _suite_props(rows, args) -> dict:
 
 def _suite_mc(rows, args) -> dict:
     battery = default_mc_battery()
-    cache = ValueCache()
     results = []
     covered = 0
     for i, chi in enumerate(battery):
         mean, stderr = monte_carlo_average(chi, args.mc_samples, args.seed + i)
-        exact = float(evaluate(chi, cache))
+        exact = float(evaluate(chi))
         ok = abs(mean - exact) <= 5.0 * stderr
         covered += ok
         results.append(

@@ -4,10 +4,11 @@ The average over uniformly random rotations of l11^Q l12^R ... l33^Y is an
 exact rational number.  :func:`closed_form` computes it by a finite
 double-factorial sum; :func:`beta_path` recomputes it through exact
 beta-function values as an independent cross-check; :func:`evaluate` adds the
-vanishing shortcuts and an orbit-level cache and answers every rank through
-the closed form; the acceptance criteria check the rank-3 (det/6) and rank-5
-(det/30) laws against it.  No floating point is used anywhere in this
-module.
+vanishing shortcuts and answers every rank through the closed form at the
+orbit minimum, or through a :class:`ValueCache`, the memo for callers that
+meet many members of one orbit; the acceptance criteria check the rank-3
+(det/6) and rank-5 (det/30) laws against it.  No floating point is used
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -356,13 +357,15 @@ class ValueCache:
         self._orbits = 0
 
     def get(self, key: Flat) -> Optional[Fraction]:
+        """The stored value of key, or None; no rotavg code calls it, so perfbench counts 0 hits and misses."""
         return self._data.get(key)
 
     def value(self, flat: Flat) -> Fraction:
         """The exact value of a selection-passing flat, cached or else evaluated and cached."""
         value = self._data.get(flat)
         if value is None:
-            self.put(*_orbit_value(flat))
+            rep, _, rep_value = _orbit_value(flat)
+            self.put(rep, rep_value)
             value = self._data[flat]
         return value
 
@@ -385,29 +388,32 @@ _SHARED_CACHE = ValueCache()
 def shared_cache() -> ValueCache:
     """A process-wide cache that only callers fill, by passing it as ``cache=``.
 
-    No rotavg function fills it on its own: with no cache given, evaluate,
-    average_tensor and average_component each use a throwaway one.
+    No rotavg function fills it on its own: with no cache given, evaluate
+    uses none, and average_tensor and average_component each make one
+    for the call.
     """
     return _SHARED_CACHE
 
 
-def _orbit_value(flat: Flat) -> tuple[Flat, Fraction]:
-    """flat's orbit minimum and, uncached, the closed form there (0 when flat's sign to it is 0)."""
+def _orbit_value(flat: Flat) -> tuple[Flat, int, Fraction]:
+    """flat's orbit minimum, flat's sign to it, and the closed form there (_ZERO if 0 or at sign 0)."""
     rep, sign = canonical_flat(flat)
-    return rep, closed_form(PowerMatrix._trusted(rep)) if sign else _ZERO
+    value = closed_form(PowerMatrix._trusted(rep)) if sign else _ZERO
+    return rep, sign, value or _ZERO
 
 
 def evaluate(chi: PowerMatrix, cache: Optional[ValueCache] = None) -> Fraction:
-    """Exact rotational average of chi with shortcuts and orbit caching.
+    """Exact rotational average of chi with shortcuts and optional orbit caching.
 
-    Returns 0 when the parity selection rule fails.  Any member of a cached
-    orbit answers from the cache; a miss scans the orbit once for its
-    minimum and sign, runs the closed form there (0 at sign 0) and caches
-    the orbit.  There is no rank-specific branch.  With no cache given, a
-    throwaway one serves the call, so no value outlives it.
+    Returns 0 when the parity selection rule fails.  Otherwise one scan
+    finds chi's orbit minimum and sign, and the closed form runs there
+    (0 at sign 0).  With a cache given, any member of a cached orbit
+    answers from it, and a miss caches the whole orbit.  There is no
+    rank-specific branch.  Every zero returned is the same object.
     """
-    if cache is None:
-        cache = ValueCache()
     if not selection_rule(chi):
         return _ZERO
-    return cache.value(chi.flat)
+    if cache is not None:
+        return cache.value(chi.flat)
+    _, sign, value = _orbit_value(chi.flat)
+    return -value if sign < 0 and value else value

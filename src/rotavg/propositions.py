@@ -270,7 +270,7 @@ def first_order_term(chi: PowerMatrix) -> Fraction:
 
 
 def _table_blocks(
-    n: int, cache: ValueCache, canonical_only: bool = False
+    n: int, canonical_only: bool = False, cache: Optional[ValueCache] = None
 ) -> tuple[list[list[Flat]], Iterator[tuple[Flat, int, list[tuple[int, Fraction]]]]]:
     """The rank-n table walk, one prefix block at a time.
 
@@ -279,13 +279,16 @@ def _table_blocks(
     order of i, and rows pairs positions i with values.  In the full walk,
     rows holds the selection-passing flats and every other flat is zero;
     with ``canonical_only`` it holds the orbit minima, the only flats kept.
-    The full walk reads each row's value from the cache, which answers every
-    member of an orbit once the walk has evaluated its first, the minimum;
-    the canonical walk evaluates each minimum once and leaves the cache alone.
+    The full walk reads each row's value from the cache, a fresh one if none
+    is given, which answers every member of an orbit once the walk has
+    evaluated its first, the minimum; the canonical walk evaluates each
+    minimum once and makes no cache.
     """
     n = _strict_int(n, "rank", 0)
     suffixes = _suffix_lists(n)
-    return suffixes, _minima_rows(n, suffixes) if canonical_only else _full_rows(n, cache, suffixes)
+    if canonical_only:
+        return suffixes, _minima_rows(n, suffixes)
+    return suffixes, _full_rows(n, ValueCache() if cache is None else cache, suffixes)
 
 
 def _full_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
@@ -307,16 +310,10 @@ def _full_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
 
 
 def _minima_rows(n: int, suffixes: list[list[Flat]]):
-    target = _selection_target(n)
     for prefix, r, positions in _minima_blocks(n, suffixes):
-        tails = suffixes[r]
-        want = _prefix_signature(*prefix) ^ target
+        flats = [(i, prefix + suffixes[r][i]) for i in positions]
         # each flat is its own orbit's minimum; every zero row holds the one _ZERO object
-        rows = [
-            (i, _orbit_value(prefix + tails[i])[1] if _suffix_signature(*tails[i]) == want else _ZERO)
-            for i in positions
-        ]
-        yield prefix, r, rows
+        yield prefix, r, [(i, _orbit_value(f)[2] if _selection_flat(f) else _ZERO) for i, f in flats]
 
 
 def rank_table(
@@ -331,12 +328,12 @@ def rank_table(
     Values match :func:`rotavg.evaluator.evaluate` exactly, whose closed form
     runs once per selection-passing orbit of nonzero sign.  ``canonical_only``
     keeps only the orbit minima, each evaluated once, and neither reads nor
-    fills the cache.  Rows of one full walk's orbit share value objects.
-    The rows are those of :func:`_table_blocks`, flattened.  ``threads`` is
-    accepted for compatibility and ignored.
+    fills the cache.  The full walk fills ``cache``, or a fresh one if none
+    is given; rows of one orbit share value objects.  The rows are those of
+    :func:`_table_blocks`, flattened.  ``threads`` is accepted for
+    compatibility and ignored.
     """
-    cache = cache if cache is not None else ValueCache()
-    suffixes, blocks = _table_blocks(n, cache, canonical_only)
+    suffixes, blocks = _table_blocks(n, canonical_only, cache)
     trusted = PowerMatrix._trusted
     for prefix, r, rows in blocks:
         tails = suffixes[r]

@@ -63,13 +63,17 @@ class RankLimitError(ValueError):
 
 def _check_ceiling(rank: int, ceiling: int, name: str = "ceiling") -> None:
     if rank > ceiling:
-        raise RankLimitError(f"rank {rank} exceeds the {name} {ceiling}")
+        try:
+            message = f"rank {rank} exceeds the {name} {ceiling}"
+        except ValueError:  # str of a rank past the int-string limit
+            raise _digit_limit_error(f"the rank, above the {name} {ceiling},") from None
+        raise RankLimitError(message)
 
 
-def _digit_limit_error(idx: IndexTuple) -> RankLimitError:
-    """The error for a value at idx with more digits than the interpreter's int-string limit allows."""
+def _digit_limit_error(subject: str) -> RankLimitError:
+    """The error for subject, a number with more digits than the interpreter's int-string limit allows."""
     return RankLimitError(
-        f"the value at index {list(idx)} exceeds the interpreter's limit of "
+        f"{subject} exceeds the interpreter's limit of "
         f"{sys.get_int_max_str_digits()} digits for integer string conversion"
     )
 
@@ -117,7 +121,7 @@ def _checked_components(pairs, rank: int, mode: str) -> dict[IndexTuple, object]
         except ValueError:
             # a literal of format_rational's form fails to read only past the int-string limit
             if mode == "exact" and isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
-                raise _digit_limit_error(idx) from None
+                raise _digit_limit_error(f"the value at index {list(idx)}") from None
             raise
     return {idx: value for idx, value in components.items() if value}
 
@@ -213,7 +217,12 @@ class DenseTensor:
 
     def to_json_obj(self, nonzero_only: bool = False) -> dict:
         render = format_rational if self.mode == "exact" else float
-        records = [{"idx": list(idx), "value": render(value)} for idx, value in self._items(nonzero_only)]
+        records = []
+        for idx, value in self._items(nonzero_only):
+            try:
+                records.append({"idx": list(idx), "value": render(value)})
+            except ValueError:  # str of an int past the limit
+                raise _digit_limit_error(f"the value at index {list(idx)}") from None
         return {"rank": self.rank, "mode": self.mode, "components": records}
 
     def to_json_text(self, nonzero_only: bool = False) -> str:
@@ -251,7 +260,7 @@ class DenseTensor:
                 try:
                     entry = texts[id(value)] = (value, ('"%s"' if exact else "%r") % value + "\n    }")
                 except ValueError:  # str of an int past the limit
-                    raise _digit_limit_error(idx) from None
+                    raise _digit_limit_error(f"the value at index {list(idx)}") from None
             rows.setdefault(idx[:cut], []).append((tail_at[idx[cut:]], entry[1]))
         if nonzero_only:
             blocks = rows.items()
@@ -456,9 +465,10 @@ def _orbit_first_labs(n: int) -> list[np.ndarray]:
 def average_component(lab_idx, tensor: DenseTensor, cache: Optional[ValueCache] = None):
     """One lab component of the isotropic average: sum of <...> * T over molecular tuples.
 
-    Stored molecular tuples are grouped by exponent matrix first, so the
-    evaluator runs once per orbit of groups.  Exact for exact tensors; float
-    tensors convert the exact averages at the final multiply.
+    Runs the pair kernel on this one lab, so the stored molecular tuples
+    are summed per exponent matrix and each orbit is evaluated once.  Exact
+    for exact tensors; float tensors convert the exact averages at the
+    final multiply.
     """
     lab = _index_tuple(lab_idx, tensor.rank)
     labs = np.array(lab, dtype=np.intp).reshape(1, tensor.rank) - 1

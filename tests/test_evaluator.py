@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import itertools
+import random
 
 from conftest import power_matrices, selection_passing, selection_passing_past_rank8, symmetry_ops
 from rotavg import (
@@ -20,6 +21,7 @@ from rotavg import (
     determinant,
     double_factorial,
     evaluate,
+    evaluator,
     quadrature_average,
     selection_rule,
     special_no_upper_block,
@@ -27,6 +29,8 @@ from rotavg import (
     threej000_squared,
     trig_powers,
 )
+from rotavg.power_matrix import _selection_flat, canonical_flat
+from rotavg.propositions import _compositions
 
 IDENT3 = PowerMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 ZERO = PowerMatrix(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
@@ -36,6 +40,19 @@ RANK9_NONZERO = PowerMatrix(((1, 1, 1), (1, 2, 0), (1, 0, 2)))
 # value of RANK9_NONZERO; the quadrature oracle puts the average at
 # 0.001587301587... (see test_oracle), which pins this rational to 1/630
 RANK9_VALUE = Fraction(1, 630)
+
+
+def direct_path_flats():
+    """Every flat of ranks 0-8, then seeded ranks 20-40 until 60 of them pass the selection rule."""
+    flats = [f for n in range(9) for f in _compositions(n, 9)]
+    rng = random.Random(27)
+    passing = 0
+    while passing < 60:
+        n = rng.randint(20, 40)
+        cuts = sorted(rng.randint(0, n) for _ in range(8))
+        flats.append(tuple(b - a for a, b in zip((0, *cuts), (*cuts, n))))
+        passing += _selection_flat(flats[-1])
+    return flats
 
 
 class TestDoubleFactorial:
@@ -312,3 +329,44 @@ class TestEvaluate:
     def test_rank3_determinant_rule_everywhere(self, chi):
         if chi.rank == 3:
             assert evaluate(chi) == Fraction(determinant(chi), 6)
+
+    def test_direct_path_matches_the_cache(self):
+        # uncached evaluate signs its orbit minimum's value itself; a cache
+        # fed in flat order answers every non-minimum from its stored images
+        cache = ValueCache()
+        kinds = set()
+        for flat in direct_path_flats():
+            chi = PowerMatrix.from_flat(flat)
+            value = evaluate(chi)
+            assert value == evaluate(chi, cache), flat
+            if _selection_flat(flat):
+                kinds.add((canonical_flat(flat)[1], value != 0))
+        # odd-rank sign -1, sign 0, and zero-valued orbits of sign +1 are all among the cases
+        assert {(1, True), (-1, True), (0, False), (1, False)} <= kinds
+
+    def test_every_zero_is_the_one_zero_object(self):
+        cache = ValueCache()
+        zeros = 0
+        for flat in direct_path_flats():
+            chi = PowerMatrix.from_flat(flat)
+            for value in (evaluate(chi), evaluate(chi, cache)):
+                if value == 0:
+                    assert value is evaluator._ZERO, flat
+                    zeros += 1
+        assert zeros
+
+    def test_uncached_evaluate_expands_no_orbit(self, monkeypatch):
+        expanded = []
+        original = evaluator.orbit_signs
+
+        def spy(flat):
+            expanded.append(flat)
+            return original(flat)
+
+        monkeypatch.setattr(evaluator, "orbit_signs", spy)
+        for chi in (IDENT3, RANK8_ZERO, RANK9_NONZERO, PowerMatrix(((1, 1, 1), (1, 1, 1), (1, 1, 1)))):
+            evaluate(chi)
+        assert expanded == []
+        # the spy sees a cache miss expand the orbit of the minimum
+        evaluate(IDENT3, ValueCache())
+        assert expanded == [canonical_flat(IDENT3.flat)[0]]

@@ -11,12 +11,13 @@ import json
 import pytest
 
 import rotavg
+import test_cli
 import test_evaluator
 import test_oracle
 import test_power_matrix
 import test_propositions
 from rotavg.cli import main
-from rotavg.evaluator import closed_form
+from rotavg.evaluator import _orbit_value, closed_form
 from rotavg.power_matrix import orbit_signs
 from rotavg.tensors import _RELABELINGS, _image_order
 from test_cli import (
@@ -90,6 +91,14 @@ def mc_report(capsys, tmp_path):
     test_oracle.TestCliMonteCarloReport().test_mc_report_matches_the_reference(capsys, 1)
 
 
+def direct_path_matches_the_cache(capsys, tmp_path):
+    test_evaluator.TestEvaluate().test_direct_path_matches_the_cache()
+
+
+def compute_identity(capsys, tmp_path):
+    test_cli.TestCompute().test_identity_permutation(capsys)
+
+
 def selection_shortcut(capsys, tmp_path):
     test_evaluator.TestEvaluate().test_selection_rule_shortcut()
 
@@ -117,6 +126,12 @@ def unsigned_orbit_signs(flat):
     return dict.fromkeys(orbit_signs(flat), 1)
 
 
+def nonzero_orbits_at_sign_plus_one(flat):
+    # the cache ignores this sign; only uncached evaluate reads it
+    rep, sign, value = _orbit_value(flat)
+    return rep, 1 if value else sign, value
+
+
 def odd_sign_flipped(chi):
     value = closed_form(chi)
     return -value if chi.rank % 2 else value
@@ -140,6 +155,10 @@ MUTANTS = [
         [average_digests((5, "exact"), (7, "exact")), nonzero_enumerate_digest(5), walk_matches_closed_form],
     ),
     (
+        "uncached-evaluate-drops-its-sign", rotavg.evaluator, "_orbit_value",
+        lambda: nonzero_orbits_at_sign_plus_one, [direct_path_matches_the_cache, compute_identity],
+    ),
+    (
         "closed-form-sign-flipped-at-odd-rank", rotavg.evaluator, "closed_form", lambda: odd_sign_flipped,
         [verify_digest("beta", "0..10")],
     ),
@@ -157,7 +176,8 @@ MUTANTS = [
 
 @pytest.mark.parametrize("name,module,attribute,mutant,checks", MUTANTS, ids=[row[0] for row in MUTANTS])
 def test_check_catches_mutant(capsys, tmp_path, monkeypatch, name, module, attribute, mutant, checks):
-    # every check that passes no cache gets a throwaway one, so no value outlives its run
+    # no check shares a cache: uncached evaluate keeps none, and each walk or
+    # tensor kernel that needs one makes its own, so no value outlives its run
     for check in checks:
         check(capsys, tmp_path)
     monkeypatch.setattr(module, attribute, mutant())

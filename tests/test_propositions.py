@@ -123,7 +123,7 @@ class TestBlockWalk:
     @pytest.mark.parametrize("canonical_only", [False, True])
     @pytest.mark.parametrize("n", [0, 1, 5, 8, 9])
     def test_blocks_follow_the_flat_order(self, n, canonical_only):
-        suffixes, blocks = _table_blocks(n, ValueCache(), canonical_only)
+        suffixes, blocks = _table_blocks(n, canonical_only)
         flats = []
         for prefix, r, rows in blocks:
             assert len(prefix) == 5 and sum(prefix) + r == n
