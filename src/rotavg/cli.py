@@ -36,6 +36,7 @@ from .propositions import (
     RANK8_EXCEPTION,
     RANK9_EXCEPTION,
     _rank_checks,
+    _suffix_table,
     _table_blocks,
     rank_table,
 )
@@ -65,17 +66,29 @@ DEFAULT_MC_SAMPLES_LIMIT = 10**8
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
+class _PastDigitLimit(str):
+    """The text of a well-formed integer flag value past the int-string limit; main reports it."""
+
+
 def integer(text: str) -> int:
-    """An integer written in ASCII digits with an optional minus sign, nothing else."""
+    """An integer written in ASCII digits with an optional minus sign, nothing else.
+
+    argparse turns any ValueError into a usage error, so a value past the
+    interpreter's int-string limit comes back as a _PastDigitLimit for
+    main to report as a limit.
+    """
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"bad integer {text!r}; expected ASCII digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        return _PastDigitLimit(text)
 
 
 def ceiling(text: str) -> int:
     """A --max-rank value: an integer of at least 0, so a negative one is malformed, not a limit."""
     value = integer(text)
-    if value < 0:
+    if type(value) is int and value < 0:
         raise argparse.ArgumentTypeError(f"a rank ceiling must be at least 0, not {value}")
     return value
 
@@ -190,25 +203,21 @@ _ENUMERATE_TEMPLATES = {
 }
 
 
-def _split_matrix_template(head: str) -> tuple[str, str]:
-    """Split a row head before its first suffix field, where the block walk splits each flat."""
-    fields = head.split("%d")
-    return "%d".join(fields[: _PREFIX_LEN + 1]), "%d" + "%d".join(fields[_PREFIX_LEN + 1 :])
-
-
 def _cmd_enumerate(args) -> int:
     n = args.rank
     if n < 0:  # before the csv header goes out
         raise ValueError(f"rank must be nonnegative, got {n}")
     _check_ceiling(n, args.max_rank)
-    suffixes, blocks = _table_blocks(n, args.canonical)
+    _, blocks = _table_blocks(n, args.canonical)
     header, matrix, tail = _ENUMERATE_TEMPLATES[args.format]
-    head, middle = _split_matrix_template(matrix)
+    # the row head is cut before its first suffix field, where the walk cuts each flat
+    fields = matrix.split("%d")
+    head = "%d".join(fields[: _PREFIX_LEN + 1])
     # per remainder, each suffix's text followed by a zero row's tail; a full
     # block is its prefix's text joined with these, and a nonzero row swaps
     # in its own tail
     zero_tail = tail % (n, format_rational(0), 0.0)
-    zero_pieces = [[middle % s + zero_tail for s in same_r] for same_r in suffixes]
+    zero_pieces = _suffix_table(n, lambda k, s: "%d" % s + fields[k + 1] + (zero_tail if k == 8 else ""))
     cut = -len(zero_tail)
     full = not (args.nonzero or args.canonical)
     # A tail is rendered once per value object.  Rows share a few
@@ -246,7 +255,11 @@ def _parse_rank_range(text: str) -> range:
     """Ranks "N" or "N..M" with N <= M, written in ASCII digits and nothing else."""
     match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
     if match:
-        start, stop = int(match[1]), int(match[2] or match[1])
+        try:
+            start, stop = int(match[1]), int(match[2] or match[1])
+        except ValueError:  # ASCII digits, so past the int-string limit
+            digits = max(len(match[1]), len(match[2] or ""))
+            raise _digit_limit_error(f"the --ranks value's rank of {digits} digits") from None
         if start <= stop:
             return range(start, stop + 1)
     raise ValueError(f"bad rank range {text!r}; expected N or N..M")
@@ -416,6 +429,10 @@ _shared_parser = functools.lru_cache(maxsize=None)(build_parser)
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, _PastDigitLimit):
+                digits = len(value.lstrip("-"))
+                raise _digit_limit_error(f"the --{name.replace('_', '-')} value of {digits} digits")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe then raises here, not at exit
         return code

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from operator import sub
+from operator import add, sub, xor
 from typing import Iterable, Iterator, Optional
 
 from .evaluator import _ZERO, ValueCache, _orbit_value, double_factorial
@@ -54,35 +54,50 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(sub, cuts + tail, head + cuts))
 
 
-# The walks below split each flat into a 5-entry prefix (f0..f4) and a
-# 4-entry suffix (f5..f8).  The prefixes of rank n are the first five parts
-# of the 6-part compositions of n, whose last part r is what the suffix must
+# The walks below split each flat into a 4-entry prefix (f0..f3) and a
+# 5-entry suffix (f4..f8).  The prefixes of rank n are the first four parts
+# of the 5-part compositions of n, whose last part r is what the suffix must
 # sum to; walking prefixes in lexicographic order, and each prefix's block of
 # suffixes in lexicographic order, visits the flats in lexicographic order.
-# A flat's parity signature has bits 0 and 1 set when rows 1 and 2 have odd
-# sums, and bits 2 and 3 when columns 1 and 2 do.  As in _selection_flat,
-# the third row and column follow from these, so the selection rule holds
-# iff every bit equals the rank's parity.  The signature is the prefix's XOR
-# the suffix's.  The CLI's enumerate renderer splits its row templates at
-# the same place.
-_PREFIX_LEN = 5
+# Rank 12 has 1,820 blocks; a 5-entry prefix would give 6,188, each one more
+# Python iteration and one more write.  A flat's parity signature has bits 0
+# and 1 set when rows 1 and 2 have odd sums, and bits 2 and 3 when columns 1
+# and 2 do.  As in _selection_flat, the third row and column follow from
+# these, so the selection rule holds iff every bit equals the rank's parity.
+# The signature is the prefix's XOR the suffix's.  The CLI's enumerate
+# renderer cuts its row templates at the same place.
+_PREFIX_LEN = 4
+
+
+def _suffix_table(n: int, piece, join=add) -> list[list]:
+    """Per remainder r in 0..n, one item per suffix summing to r, in lexicographic order.
+
+    A suffix's item joins piece(k, s) over its entries s at flat positions
+    k, first to last.  The table grows from the last entry to the first,
+    so each item costs one join.
+    """
+    table = [[piece(8, r)] for r in range(n + 1)]
+    for k in range(7, _PREFIX_LEN - 1, -1):
+        pieces = [piece(k, s) for s in range(n + 1)]
+        table = [[join(p, t) for s, p in enumerate(pieces[: r + 1]) for t in table[r - s]] for r in range(n + 1)]
+    return table
 
 
 def _suffix_lists(n: int) -> list[list[Flat]]:
     """Per remainder r in 0..n, the suffixes summing to r in lexicographic order.
 
-    binom(n+4, 4) tuples in all, built before the first block: a small share
+    binom(n+5, 5) tuples in all, built before the first block: a small share
     of the binom(n+8, 8) flats a full walk of rank n visits.
     """
-    return [list(_compositions(r, 9 - _PREFIX_LEN)) for r in range(n + 1)]
+    return _suffix_table(n, lambda k, s: (s,))
 
 
-def _prefix_signature(f0: int, f1: int, f2: int, f3: int, f4: int) -> int:
-    return (f0 + f1 + f2) & 1 | ((f3 + f4) & 1) << 1 | ((f0 + f3) & 1) << 2 | ((f1 + f4) & 1) << 3
+def _prefix_signature(f0: int, f1: int, f2: int, f3: int) -> int:
+    return (f0 + f1 + f2) & 1 | (f3 & 1) << 1 | ((f0 + f3) & 1) << 2 | (f1 & 1) << 3
 
 
-def _suffix_signature(f5: int, f6: int, f7: int, f8: int) -> int:
-    return (f5 & 1) << 1 | (f6 & 1) << 2 | (f7 & 1) << 3
+def _suffix_signature(f4: int, f5: int, f6: int, f7: int, f8: int) -> int:
+    return ((f4 + f5) & 1) << 1 | (f6 & 1) << 2 | ((f4 + f7) & 1) << 3
 
 
 def _selection_target(n: int) -> int:
@@ -99,19 +114,20 @@ def enumerate_power_matrices(n: int) -> Iterator[PowerMatrix]:
 def _minima_blocks(n: int, suffixes: list[list[Flat]]) -> Iterator[tuple[Flat, int, list[int]]]:
     """(prefix, r, positions in suffixes[r]) for every prefix block holding an orbit minimum.
 
-    A minimum's first entry is its least, and the swaps that keep f0 in
-    place (columns 1-2, rows 1-2, the transpose) ask f1 <= f2, f3 <= f6 and
+    A minimum's first entry is its least, so no block whose five suffix
+    entries cannot all reach f0 holds one.  The swaps that keep f0 in place
+    (columns 1-2, rows 1-2, the transpose) ask f1 <= f2, f3 <= f6 and
     f1 <= f3; only the flats meeting these go through is_orbit_minimum.
     """
     for composition in _compositions(n, _PREFIX_LEN + 1):
-        f0, f1, f2, f3, f4, r = composition
-        if f0 > f1 or f1 > f2 or f1 > f3 or f0 > f4 or 4 * f0 > r:
+        f0, f1, f2, f3, r = composition
+        if f0 > f1 or f1 > f2 or f1 > f3 or 5 * f0 > r:
             continue
         prefix = composition[:_PREFIX_LEN]
         positions = [
             i
             for i, tail in enumerate(suffixes[r])
-            if tail[1] >= f3 and (not f0 or min(tail) >= f0) and is_orbit_minimum(prefix + tail)
+            if tail[2] >= f3 and (not f0 or min(tail) >= f0) and is_orbit_minimum(prefix + tail)
         ]
         if positions:
             yield prefix, r, positions
@@ -293,11 +309,13 @@ def _table_blocks(
 
 def _full_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
     target = _selection_target(n)
+    # a suffix's signature is the XOR of those of its entries, each alone in the suffix
+    signatures = _suffix_table(n, lambda k, s: _suffix_signature(*(s * (j == k) for j in range(_PREFIX_LEN, 9))), xor)
     passing = []  # per r: signature -> positions of the suffixes with it
-    for tails in suffixes:
+    for same_r in signatures:
         by_signature: dict[int, list[int]] = {}
-        for i, tail in enumerate(tails):
-            by_signature.setdefault(_suffix_signature(*tail) ^ target, []).append(i)
+        for i, signature in enumerate(same_r):
+            by_signature.setdefault(signature ^ target, []).append(i)
         passing.append(by_signature)
     value = cache.value
     for composition in _compositions(n, _PREFIX_LEN + 1):

@@ -924,6 +924,40 @@ class TestExitCodes:
         code, _ = run_failing(capsys, [arg.format(text, path=path) for arg in argv])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["enumerate", "-n", "{}"], "--rank"),
+            (["enumerate", "-n", "-{}"], "--rank"),
+            (["enumerate", "-n", "3", "--max-rank", "{}"], "--max-rank"),
+            (["enumerate", "-n", "3", "--threads", "{}"], "--threads"),
+            (["compute", "--indices", "11", "--max-rank", "{}"], "--max-rank"),
+            (["average", "{path}", "--max-rank", "{}"], "--max-rank"),
+            (["verify", "--suite", "mc", "--mc-samples", "{}"], "--mc-samples"),
+            (["verify", "--suite", "mc", "--seed", "{}"], "--seed"),
+            (["verify", "--suite", "beta", "--threads", "{}"], "--threads"),
+        ],
+    )
+    def test_an_integer_flag_past_the_int_string_limit_is_a_limit(self, capsys, tmp_path, digit_limit, argv, flag):
+        # int() raised inside argparse, which printed its usage text and
+        # the 5000 digits and exited 2, while "-n 99999" exits 3
+        path = write_tensor(tmp_path, "s.json", {"rank": 0, "mode": "exact", "components": []})
+        code, err = run_failing(capsys, [arg.format("9" * 5000, path=path) for arg in argv])
+        assert code == EXIT_LIMIT
+        assert err == (
+            f"error: the {flag} value of 5000 digits exceeds the interpreter's limit of {digit_limit} digits "
+            "for integer string conversion\n"
+        )
+
+    @pytest.mark.parametrize("ranks", ["{}", "0..{}"])
+    def test_a_verify_rank_past_the_int_string_limit_is_a_limit(self, capsys, digit_limit, ranks):
+        code, err = run_failing(capsys, ["verify", "--suite", "mc", "-n", ranks.format("9" * 5000)])
+        assert code == EXIT_LIMIT
+        assert err == (
+            f"error: the --ranks value's rank of 5000 digits exceeds the interpreter's limit of {digit_limit} digits "
+            "for integer string conversion\n"
+        )
+
     @pytest.mark.parametrize("indices", ["1\u0663", "\u0661\u0661"])
     def test_index_digits_are_ascii(self, capsys, indices):
         code, _ = run_failing(capsys, ["compute", "--indices", indices])

@@ -18,7 +18,7 @@ import test_power_matrix
 import test_propositions
 from rotavg.cli import main
 from rotavg.evaluator import _orbit_value, closed_form
-from rotavg.power_matrix import orbit_signs
+from rotavg.power_matrix import _ARRANGEMENTS, orbit_signs
 from rotavg.tensors import _RELABELINGS, _image_order
 from test_cli import (
     AVERAGE_STDOUT_SHA256,
@@ -87,6 +87,14 @@ def canonical_table_filter(capsys, tmp_path):
     test_propositions.TestRankTable().test_canonical_filter()
 
 
+def canonical_layer_matches_brute_force(capsys, tmp_path):
+    test_power_matrix.TestCanonicalLayer().test_every_flat_through_rank_9(5)
+
+
+def representative_counts(capsys, tmp_path):
+    test_propositions.TestEnumeration().test_representative_counts_match_burnside()
+
+
 def mc_report(capsys, tmp_path):
     test_oracle.TestCliMonteCarloReport().test_mc_report_matches_the_reference(capsys, 1)
 
@@ -137,13 +145,38 @@ def odd_sign_flipped(chi):
     return -value if chi.rank % 2 else value
 
 
+def sorted_rows(flat, src):
+    # the arrangement src of flat with its rows sorted
+    rows = sorted((flat[src[i]], flat[src[i + 1]], flat[src[i + 2]]) for i in (0, 3, 6))
+    return rows[0] + rows[1] + rows[2]
+
+
+def unsigned_row_swaps(flat):
+    # canonical_flat as if sorting an arrangement's rows flipped no sign
+    signs = {}
+    for src, sign in _ARRANGEMENTS:
+        image = sorted_rows(flat, src)
+        if image[0:3] == image[3:6] or image[3:6] == image[6:9]:
+            sign = 0
+        signs[image] = sign if signs.setdefault(image, sign) == sign else 0
+    best = min(signs)
+    return best, signs[best] if sum(flat) & 1 else 1
+
+
+def untransposed_minimum(flat):
+    # is_orbit_minimum without the six arrangements of the transpose
+    untransposed = [src for src, _ in _ARRANGEMENTS if max(src[0:3]) < 3]  # the first row stays a row
+    return flat[0:3] <= flat[3:6] <= flat[6:9] and all(sorted_rows(flat, src) >= flat for src in untransposed)
+
+
 def columns_only(f):
     # the selection rule without its row checks
     n_par = sum(f) & 1
     return (f[0] + f[3] + f[6]) & 1 == n_par and (f[1] + f[4] + f[7]) & 1 == n_par
 
 
-# (id, module, attribute, mutant factory, checks that must each catch it)
+# (id, module or modules, attribute, mutant factory, checks that must each catch it); a
+# function imported by name into a second module is patched in both
 MUTANTS = [
     (
         "odd-rank-negation-dropped", rotavg.tensors, "_RELABELINGS", unsigned_relabelings,
@@ -166,6 +199,14 @@ MUTANTS = [
         "every-flat-an-orbit-minimum", rotavg.propositions, "is_orbit_minimum", lambda: lambda flat: True,
         [representatives_are_fixed_points, canonical_csv_digest(6), canonical_table_filter],
     ),
+    (
+        "canonical-sign-ignores-row-swaps", (rotavg.power_matrix, rotavg.evaluator), "canonical_flat",
+        lambda: unsigned_row_swaps, [canonical_layer_matches_brute_force, nonzero_enumerate_digest(5)],
+    ),
+    (
+        "orbit-minimum-without-the-transpose", rotavg.propositions, "is_orbit_minimum",
+        lambda: untransposed_minimum, [representative_counts, canonical_csv_digest(6), canonical_csv_digest(7)],
+    ),
     ("mc-chunk-halved", rotavg.oracle, "_MC_CHUNK", lambda: 1 << 15, [mc_report]),
     (
         "selection-rule-without-rows", rotavg.power_matrix, "_selection_flat", lambda: columns_only,
@@ -180,7 +221,9 @@ def test_check_catches_mutant(capsys, tmp_path, monkeypatch, name, module, attri
     # tensor kernel that needs one makes its own, so no value outlives its run
     for check in checks:
         check(capsys, tmp_path)
-    monkeypatch.setattr(module, attribute, mutant())
+    replacement = mutant()
+    for patched in module if isinstance(module, tuple) else (module,):
+        monkeypatch.setattr(patched, attribute, replacement)
     for check in checks:
         with pytest.raises((AssertionError, pytest.fail.Exception)):
             check(capsys, tmp_path)

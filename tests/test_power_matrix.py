@@ -1,4 +1,5 @@
 import json
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -19,8 +20,26 @@ from rotavg import (
     orbit,
     selection_rule,
 )
+from rotavg import power_matrix
+from rotavg.power_matrix import _FLAT_OPS
+from rotavg.propositions import _compositions
 
 IDENT3 = PowerMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def brute_force_canonical(flat):
+    """The least of flat's 72 images, and the sign of the operations reaching it.
+
+    The sign is 0 where opposite-signed operations reach the minimum, and +1
+    throughout at even rank.  Shares nothing with canonical_flat but the
+    operations' source maps.
+    """
+    images = [(tuple(flat[k] for k in src), sign) for src, sign in _FLAT_OPS]
+    least = min(image for image, _ in images)
+    signs = {sign for image, sign in images if image == least}
+    if not sum(flat) & 1:
+        return least, 1
+    return least, signs.pop() if len(signs) == 1 else 0
 
 
 class TestPowerMatrix:
@@ -210,3 +229,49 @@ class TestCanonicalize:
     @given(power_matrices(max_rank=4))
     def test_orbit_size_divides_group_order(self, chi):
         assert 72 % len(orbit(chi)) == 0
+
+
+class TestCanonicalLayer:
+    """canonical_flat and is_orbit_minimum against the 72-image brute force.
+
+    Both are called through the module, so a test that patches them there
+    reaches these checks.
+    """
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_every_flat_through_rank_9(self, n):
+        # is_orbit_minimum sees every flat too, also those whose first entry
+        # is not their least, which the canonical walk never asks about
+        first_not_least = 0
+        for flat in _compositions(n, 9):
+            expected = brute_force_canonical(flat)
+            assert power_matrix.canonical_flat(flat) == expected, flat
+            assert power_matrix.is_orbit_minimum(flat) == (expected[0] == flat), flat
+            first_not_least += flat[0] > min(flat)
+        assert first_not_least or n == 0
+
+    def test_a_seeded_sample_at_ranks_20_to_60(self):
+        # random flats, some with two equal rows or columns or made symmetric,
+        # so ties at the minimum and signs of 0 come up too
+        rng = random.Random(2060)
+        signs = set()
+        checked = 0
+        while checked < 400:
+            flat = [rng.randint(0, 7) for _ in range(9)]
+            shape = rng.randrange(4)
+            if shape == 1:
+                flat[3:6] = flat[0:3]
+            elif shape == 2:
+                flat[2::3] = flat[1::3]
+            elif shape == 3:
+                flat = [flat[3 * (k % 3) + k // 3] if k % 3 < k // 3 else flat[k] for k in range(9)]
+            flat = tuple(flat)
+            if not 20 <= sum(flat) <= 60:
+                continue
+            expected = brute_force_canonical(flat)
+            assert power_matrix.canonical_flat(flat) == expected, flat
+            assert power_matrix.is_orbit_minimum(flat) == (expected[0] == flat), flat
+            assert power_matrix.is_orbit_minimum(expected[0]), flat
+            signs.add(expected[1] if sum(flat) & 1 else None)
+            checked += 1
+        assert signs == {-1, 0, 1, None}

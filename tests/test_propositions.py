@@ -31,6 +31,7 @@ from rotavg import (
 from rotavg.power_matrix import _FLAT_OPS, _selection_flat, canonical_flat
 from rotavg import evaluator
 from rotavg.propositions import (
+    _PREFIX_LEN,
     _compositions,
     _prefix_signature,
     _selection_target,
@@ -84,7 +85,7 @@ class TestEnumeration:
         # flat is fixed iff it is constant on each cycle of g's source map,
         # so fix_n(g) counts the ways to write n as a sum of cycle lengths
         # times nonnegative counts: coin change, without is_orbit_minimum
-        top = 16
+        top = 20
         total = [0] * (top + 1)
         for src, _ in _FLAT_OPS:
             lengths, seen = [], set()
@@ -102,8 +103,12 @@ class TestEnumeration:
             total = [t + w for t, w in zip(total, ways)]
         assert len(_FLAT_OPS) == 72 and all(t % 72 == 0 for t in total)
         burnside = [t // 72 for t in total]
-        assert burnside == [1, 1, 3, 7, 16, 32, 68, 126, 238, 422, 730, 1214, 1984, 3128, 4848, 7330, 10891]
-        assert [len(canonical_representatives(n)) for n in range(top + 1)] == burnside
+        assert burnside == [
+            1, 1, 3, 7, 16, 32, 68, 126, 238, 422, 730, 1214, 1984, 3128, 4848, 7330, 10891,
+            15863, 22773, 32143, 44800,
+        ]
+        for n in range(top + 1):  # rank by rank, so a wrong walk fails at its first wrong count
+            assert len(canonical_representatives(n)) == burnside[n], n
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_orbit_sizes_partition_the_rank(self, n):
@@ -117,7 +122,7 @@ class TestBlockWalk:
         target = _selection_target(n)
         for chi in enumerate_power_matrices(n):
             f = chi.flat
-            signature = _prefix_signature(*f[:5]) ^ _suffix_signature(*f[5:])
+            signature = _prefix_signature(*f[:_PREFIX_LEN]) ^ _suffix_signature(*f[_PREFIX_LEN:])
             assert (signature == target) == _selection_flat(f), f
 
     @pytest.mark.parametrize("canonical_only", [False, True])
@@ -126,7 +131,7 @@ class TestBlockWalk:
         suffixes, blocks = _table_blocks(n, canonical_only)
         flats = []
         for prefix, r, rows in blocks:
-            assert len(prefix) == 5 and sum(prefix) + r == n
+            assert len(prefix) == _PREFIX_LEN and sum(prefix) + r == n
             positions = [i for i, _ in rows]
             assert positions == sorted(set(positions))
             flats += [prefix + suffixes[r][i] for i in positions]
