@@ -4,8 +4,9 @@
 Each file holds the output of ``rotavg enumerate -n K``: per matrix its rank
 and exact value as "p/q", a lookup table for response-tensor calculations.
 Exit codes are rotavg's: 0 success, 2 bad --ranks or an --outdir that
-cannot be written, 3 a rank above enumerate's ceiling; a rank that fails
-leaves no file behind.
+cannot be written, 3 a top rank above enumerate's ceiling (13) or a rank
+with more digits than the interpreter's int-string limit, checked before
+--outdir is made; a rank that fails leaves no file behind.
 
 Usage:
     python scripts/export_rank_tables.py --ranks 0..6 --outdir tables [--nonzero]
@@ -17,7 +18,8 @@ import sys
 import time
 from pathlib import Path
 
-from rotavg.cli import EXIT_PARSE, _parse_rank_range, main as rotavg
+from rotavg.cli import DEFAULT_ENUMERATE_LIMIT, EXIT_LIMIT, EXIT_PARSE, _parse_rank_range, main as rotavg
+from rotavg.tensors import RankLimitError, _check_ceiling
 
 
 def main() -> int:
@@ -30,9 +32,10 @@ def main() -> int:
 
     try:
         ranks = _parse_rank_range(args.ranks)
-    except ValueError as exc:
+        _check_ceiling(ranks[-1], DEFAULT_ENUMERATE_LIMIT)
+    except ValueError as exc:  # RankLimitError is one
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_LIMIT if isinstance(exc, RankLimitError) else EXIT_PARSE
     flags = ["--nonzero"] * args.nonzero + ["--canonical"] * args.canonical
 
     outdir = Path(args.outdir)

@@ -8,7 +8,8 @@ when P > M.  The report is {"pass": bool, "runs": [<rotavg verify report>,
 --mc-samples above its sample ceiling (10^8).  An integer flag
 takes ASCII digits with an optional minus sign, as rotavg's own do; any
 other value, or an --out that cannot be opened for writing, exits 2
-before any run, with no report.
+before any run, with no report, and a flag with more digits than the
+interpreter's int-string limit exits 3 the same way.
 
 Usage:
     python scripts/run_verification.py [--max-rank 8] [--props-max-rank 13]
@@ -21,7 +22,8 @@ import io
 import json
 import sys
 
-from rotavg.cli import EXIT_LIMIT, EXIT_PARSE, integer, main as rotavg
+from rotavg.cli import EXIT_LIMIT, EXIT_PARSE, _check_digit_limits, integer, main as rotavg
+from rotavg.tensors import RankLimitError
 
 
 def main() -> int:
@@ -34,6 +36,11 @@ def main() -> int:
     parser.add_argument("--seed", type=integer, help="default: rotavg verify's")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     args = parser.parse_args()
+    try:
+        _check_digit_limits(args)
+    except RankLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
 
     mc = [f"--{name}={value}" for name, value in
           (("mc-samples", args.mc_samples), ("seed", args.seed)) if value is not None]

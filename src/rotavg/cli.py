@@ -67,15 +67,15 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 class _PastDigitLimit(str):
-    """The text of a well-formed integer flag value past the int-string limit; main reports it."""
+    """The text of a well-formed integer flag value past the int-string limit; see _check_digit_limits."""
 
 
 def integer(text: str) -> int:
     """An integer written in ASCII digits with an optional minus sign, nothing else.
 
     argparse turns any ValueError into a usage error, so a value past the
-    interpreter's int-string limit comes back as a _PastDigitLimit for
-    main to report as a limit.
+    interpreter's int-string limit comes back as a _PastDigitLimit, for
+    _check_digit_limits to report as a limit once parsing is done.
     """
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"bad integer {text!r}; expected ASCII digits")
@@ -83,6 +83,13 @@ def integer(text: str) -> int:
         return int(text)
     except ValueError:
         return _PastDigitLimit(text)
+
+
+def _check_digit_limits(args: argparse.Namespace) -> None:
+    """A RankLimitError naming the first integer flag of parsed args past the int-string limit."""
+    for name, value in vars(args).items():
+        if isinstance(value, _PastDigitLimit):
+            raise _digit_limit_error(f"the --{name.replace('_', '-')} value of {len(value.lstrip('-'))} digits")
 
 
 def ceiling(text: str) -> int:
@@ -429,10 +436,7 @@ _shared_parser = functools.lru_cache(maxsize=None)(build_parser)
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        for name, value in vars(args).items():
-            if isinstance(value, _PastDigitLimit):
-                digits = len(value.lstrip("-"))
-                raise _digit_limit_error(f"the --{name.replace('_', '-')} value of {digits} digits")
+        _check_digit_limits(args)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe then raises here, not at exit
         return code

@@ -238,70 +238,52 @@ def beta_path(chi: PowerMatrix) -> PiRational:
     return result
 
 
+def _factorial_form(chi: PowerMatrix) -> Fraction:
+    """The ratio both special forms scale, with n the rank and every halving rounded down:
+
+    ((S+V+W+X)/2)! (n/2)! S! V! W! X! Y!
+    / (((S+V+1)/2)! ((W+X+1)/2)! (S/2)! (V/2)! (W/2)! (X/2)! (Y/2)! (n + 1 - n mod 2)!)
+    """
+    _, _, S, _, _, V, W, X, Y = chi.flat
+    n = chi.rank
+    num = factorial((S + V + W + X) // 2) * factorial(n // 2)
+    num *= factorial(S) * factorial(V) * factorial(W) * factorial(X) * factorial(Y)
+    den = factorial((S + V + 1) // 2) * factorial((W + X + 1) // 2) * factorial(n + 1 - n % 2)
+    den *= factorial(S // 2) * factorial(V // 2) * factorial(W // 2) * factorial(X // 2) * factorial(Y // 2)
+    return Fraction(num, den)
+
+
 def special_no_upper_block(chi: PowerMatrix) -> Fraction:
     """Average for matrices whose upper-left 2x2 block vanishes (Q=R=T=U=0).
 
-    Odd rank gives 0 outright (the restricted sum is empty); even rank uses
-    the factorial ratio, which needs the parity selection rule to hold.
+    Odd rank gives 0 outright (the restricted sum is empty); even rank gives
+    the ratio of _factorial_form, which needs the parity selection rule to hold.
     """
-    Q, R, S, T, U, V, W, X, Y = chi.flat
+    Q, R, _, T, U, _, _, _, _ = chi.flat
     if (Q, R, T, U) != (0, 0, 0, 0):
         raise ValueError("requires Q = R = T = U = 0")
     if chi.rank % 2 == 1:
         return Fraction(0)
     if not selection_rule(chi):
         raise ValueError("selection rule fails; the factorial form does not apply")
-    num = (
-        factorial((S + V + W + X) // 2)
-        * factorial((S + V + W + X + Y) // 2)
-        * factorial(S) * factorial(V) * factorial(W) * factorial(X) * factorial(Y)
-    )
-    den = (
-        factorial((S + V) // 2)
-        * factorial((W + X) // 2)
-        * factorial(S // 2) * factorial(V // 2)
-        * factorial(W // 2) * factorial(X // 2) * factorial(Y // 2)
-        * factorial(S + V + W + X + Y + 1)
-    )
-    return Fraction(num, den)
+    return _factorial_form(chi)
 
 
 def special_q1(chi: PowerMatrix) -> Fraction:
-    """Average for matrices with Q = 1 and R = T = U = 0, by parity of the rank."""
-    Q, R, S, T, U, V, W, X, Y = chi.flat
+    """Average for matrices with Q = 1 and R = T = U = 0, in one form for both rank parities.
+
+    The paper gives two cases.  At odd rank n (S, W, Y even, V, X odd) the value
+    is minus a factorial ratio that halves V-1, X-1 and n-1 and ends in n!; at
+    even n (S, W, Y odd, V, X even), minus twice one that halves S-1, W-1, Y-1
+    and n and ends in (n+1)!.  Rounding every halving down makes them one ratio,
+    _factorial_form, whose last factorial (n + 1 - n mod 2)! covers both ends.
+    """
+    Q, R, _, T, U, _, _, _, _ = chi.flat
     if (Q, R, T, U) != (1, 0, 0, 0):
         raise ValueError("requires Q = 1 and R = T = U = 0")
     if not selection_rule(chi):
         raise ValueError("selection rule fails; the factorial forms do not apply")
-    if chi.rank % 2 == 1:
-        # parity forces S, W, Y even and V, X odd here
-        num = (
-            factorial((S + V + W + X) // 2)
-            * factorial((S + V + W + X + Y) // 2)
-            * factorial(S) * factorial(V) * factorial(W) * factorial(X) * factorial(Y)
-        )
-        den = (
-            factorial((S + V + 1) // 2)
-            * factorial((W + X + 1) // 2)
-            * factorial(S // 2) * factorial(W // 2) * factorial(Y // 2)
-            * factorial((V - 1) // 2) * factorial((X - 1) // 2)
-            * factorial(S + V + W + X + Y + 1)
-        )
-        return Fraction(-num, den)
-    # even rank: parity forces S, W, Y odd and V, X even
-    num = 2 * (
-        factorial((S + V + W + X) // 2)
-        * factorial((S + V + W + X + Y + 1) // 2)
-        * factorial(S) * factorial(V) * factorial(W) * factorial(X) * factorial(Y)
-    )
-    den = (
-        factorial((S + V + 1) // 2)
-        * factorial((W + X + 1) // 2)
-        * factorial((S - 1) // 2) * factorial((W - 1) // 2) * factorial((Y - 1) // 2)
-        * factorial(V // 2) * factorial(X // 2)
-        * factorial(S + V + W + X + Y + 2)
-    )
-    return Fraction(-num, den)
+    return -(2 - chi.rank % 2) * _factorial_form(chi)
 
 
 def _as_half_integer(j) -> Fraction:

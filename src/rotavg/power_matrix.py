@@ -185,11 +185,6 @@ def _perm_sign(p: Perm) -> int:
     return sign
 
 
-def _compose_perm(p1: Perm, p2: Perm) -> Perm:
-    # (p1 after p2): output slot i reads from p1[p2[i]]
-    return (p1[p2[0]], p1[p2[1]], p1[p2[2]])
-
-
 @dataclass(frozen=True)
 class SymmetryOp:
     """One of the 72 symmetries: permute rows and columns, then optionally transpose.
@@ -207,18 +202,13 @@ class SymmetryOp:
         return _perm_sign(self.row_perm) * _perm_sign(self.col_perm)
 
     def then(self, other: "SymmetryOp") -> "SymmetryOp":
-        """Composite operation: apply ``self`` first, then ``other``."""
-        if not self.transpose:
-            return SymmetryOp(
-                _compose_perm(self.row_perm, other.row_perm),
-                _compose_perm(self.col_perm, other.col_perm),
-                other.transpose,
-            )
-        return SymmetryOp(
-            _compose_perm(self.row_perm, other.col_perm),
-            _compose_perm(self.col_perm, other.row_perm),
-            not other.transpose,
-        )
+        """Composite operation: apply ``self`` first, then ``other``.
+
+        Derived from the two flat index maps: entry k of the result reads
+        entry first[second[k]] of the input, and that map names the op.
+        """
+        first, second = _source_map(self), _source_map(other)
+        return _OP_BY_SOURCE[tuple(first[k] for k in second)]
 
 
 _PERMS3: tuple[Perm, ...] = tuple(permutations((0, 1, 2)))
@@ -247,15 +237,22 @@ _FLAT_OPS: tuple[tuple[Flat, int], ...] = tuple(
     (_flat_source_map(op), op.sign) for op in ALL_OPS
 )
 _OP_SOURCES: dict[SymmetryOp, Flat] = {op: src for op, (src, _) in zip(ALL_OPS, _FLAT_OPS)}
+# the 72 index maps are distinct, so each names its op
+_OP_BY_SOURCE: dict[Flat, SymmetryOp] = {src: op for op, src in _OP_SOURCES.items()}
+
+
+def _source_map(op: SymmetryOp) -> Flat:
+    """op's flat index map; a ValueError for an op outside the 72."""
+    try:
+        return _OP_SOURCES[op]
+    except (KeyError, TypeError):  # a TypeError for perms given as lists, which do not hash
+        raise ValueError(f"not one of the 72 symmetry operations: {op!r}") from None
 
 
 def apply_symmetry(chi: PowerMatrix, op: SymmetryOp) -> PowerMatrix:
     """Permute rows and columns of chi by op, then transpose if flagged."""
-    src = _OP_SOURCES.get(op)
-    if src is None:
-        raise ValueError(f"not one of the 72 symmetry operations: {op!r}")
     flat = chi.flat
-    return PowerMatrix._trusted(tuple(flat[k] for k in src))
+    return PowerMatrix._trusted(tuple(flat[k] for k in _source_map(op)))
 
 
 @dataclass(frozen=True)

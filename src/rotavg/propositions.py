@@ -68,6 +68,11 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 # renderer cuts its row templates at the same place.
 _PREFIX_LEN = 4
 
+# Per flat position, the signature bits of the deciding checks (rows 1-2,
+# columns 1-2) whose sums hold that entry.  A flat's signature XORs those of
+# its odd entries, so the suffix side follows _PREFIX_LEN by itself.
+_PARITY_BITS = tuple((row < 2) << row | (col < 2) << 2 + col for row in range(3) for col in range(3))
+
 
 def _suffix_table(n: int, piece, join=add) -> list[list]:
     """Per remainder r in 0..n, one item per suffix summing to r, in lexicographic order.
@@ -93,11 +98,8 @@ def _suffix_lists(n: int) -> list[list[Flat]]:
 
 
 def _prefix_signature(f0: int, f1: int, f2: int, f3: int) -> int:
+    # _PARITY_BITS of the odd prefix entries, written out: it runs once per block
     return (f0 + f1 + f2) & 1 | (f3 & 1) << 1 | ((f0 + f3) & 1) << 2 | (f1 & 1) << 3
-
-
-def _suffix_signature(f4: int, f5: int, f6: int, f7: int, f8: int) -> int:
-    return ((f4 + f5) & 1) << 1 | (f6 & 1) << 2 | ((f4 + f7) & 1) << 3
 
 
 def _selection_target(n: int) -> int:
@@ -309,8 +311,7 @@ def _table_blocks(
 
 def _full_rows(n: int, cache: ValueCache, suffixes: list[list[Flat]]):
     target = _selection_target(n)
-    # a suffix's signature is the XOR of those of its entries, each alone in the suffix
-    signatures = _suffix_table(n, lambda k, s: _suffix_signature(*(s * (j == k) for j in range(_PREFIX_LEN, 9))), xor)
+    signatures = _suffix_table(n, lambda k, s: _PARITY_BITS[k] if s & 1 else 0, xor)
     passing = []  # per r: signature -> positions of the suffixes with it
     for same_r in signatures:
         by_signature: dict[int, list[int]] = {}

@@ -18,7 +18,9 @@ def parse_rational(text: str) -> Fraction:
 
     Rejects non-strings, floats, decimals, zero denominators, "+" and padding
     with ValueError, so exact values are never silently truncated on the way in.
+    The value is built from the groups of _RATIONAL_RE, the grammar's one definition.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+    literal = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if literal is None:
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(text)
+    return Fraction(int(literal[1]), int(literal[2] or 1))

@@ -131,7 +131,7 @@ def _bulk_components(records: list, rank: int, mode: str) -> Optional[dict[Index
 
     None leaves records to _checked_components, the one definition of
     validity, which names the first bad record.  Each distinct exact value
-    is read once, so equal literals share one Fraction.
+    is read once, through _coerce_value, so equal literals share one Fraction.
     """
     try:
         indices = list(map(itemgetter("idx"), records))
@@ -144,15 +144,7 @@ def _bulk_components(records: list, rank: int, mode: str) -> Optional[dict[Index
                 or set(map(type, values)) - ({str, int} if exact else {float, int})):
             return None
         if exact:
-            read = {}
-            for value in set(values):
-                if type(value) is int:
-                    read[value] = Fraction(value)
-                else:
-                    literal = _RATIONAL_RE.fullmatch(value)
-                    if literal is None:
-                        return None
-                    read[value] = Fraction(int(literal[1]), int(literal[2] or 1))
+            read = {value: _coerce_value(value, mode) for value in set(values)}
             values, nonzero = list(map(read.__getitem__, values)), all(read.values())
         elif all(map(isfinite, values)):
             values = list(map(float, values))

@@ -235,6 +235,19 @@ class TestSpecialQ1:
         with pytest.raises(ValueError):
             special_q1(PowerMatrix(((2, 0, 0), (0, 0, 0), (0, 0, 0))))
 
+    def test_every_q1_matrix_of_ranks_11_to_20(self):
+        # past the acceptance sweep's rank 10; called through the module, so
+        # the mutant table can patch it
+        checked = {0: 0, 1: 0}
+        for n in range(11, 21):
+            for tail in _compositions(n - 1, 5):
+                S, V, W, X, Y = tail
+                chi = PowerMatrix(((1, 0, S), (0, 0, V), (W, X, Y)))
+                if selection_rule(chi):
+                    assert evaluator.special_q1(chi) == closed_form(chi), chi
+                    checked[n & 1] += 1
+        assert min(checked.values()) > 500
+
 
 class TestThreeJ:
     def test_all_zero(self):

@@ -16,10 +16,16 @@ import test_evaluator
 import test_oracle
 import test_power_matrix
 import test_propositions
+import test_rationals
+import test_tensors
 from rotavg.cli import main
-from rotavg.evaluator import _orbit_value, closed_form
-from rotavg.power_matrix import _ARRANGEMENTS, orbit_signs
-from rotavg.tensors import _RELABELINGS, _image_order
+from fractions import Fraction
+
+from rotavg.evaluator import _orbit_value, closed_form, special_q1
+from rotavg.power_matrix import _ARRANGEMENTS, _OP_BY_SOURCE, SymmetryOp, _source_map, orbit_signs
+from rotavg.propositions import _PARITY_BITS
+from rotavg.rationals import _RATIONAL_RE
+from rotavg.tensors import _RELABELINGS, _bulk_components, _image_order
 from test_cli import (
     AVERAGE_STDOUT_SHA256,
     ENUMERATE_NONZERO_SHA256,
@@ -119,6 +125,69 @@ def four_checks_match_six(capsys, tmp_path):
     test_power_matrix.TestSelectionRule().test_four_checks_match_the_six_check_definition()
 
 
+def then_matches_two_applications(capsys, tmp_path):
+    test_power_matrix.TestSymmetryGroup().test_then_matches_two_applications_for_every_pair()
+
+
+def then_rejects_outside_ops(capsys, tmp_path):
+    test_power_matrix.TestSymmetryGroup().test_then_rejects_an_op_outside_the_72(SymmetryOp((0, 0, 1), (0, 1, 2)))
+
+
+def q1_through_rank_20(capsys, tmp_path):
+    test_evaluator.TestSpecialQ1().test_every_q1_matrix_of_ranks_11_to_20()
+
+
+def parse_matches_fraction(capsys, tmp_path):
+    test_rationals.test_parse_matches_fraction_on_the_whole_grammar(1)
+
+
+def bulk_matches_record_loop(capsys, tmp_path):
+    test_tensors.TestBulkReader().test_bulk_matches_the_record_loop_on_many_literals(1)
+
+
+def block_signatures(capsys, tmp_path):
+    test_propositions.TestBlockWalk().test_signatures_decide_the_selection_rule(4)
+
+
+def then_reversed(self, other):
+    # the composite applies other first, then self
+    first, second = _source_map(other), _source_map(self)
+    return _OP_BY_SOURCE[tuple(first[k] for k in second)]
+
+
+def then_by_perms(self, other):
+    # the hand-written transpose algebra, which composes any three-entry perms
+    def compose(p1, p2):
+        return (p1[p2[0]], p1[p2[1]], p1[p2[2]])
+
+    rows, cols = (other.row_perm, other.col_perm) if not self.transpose else (other.col_perm, other.row_perm)
+    return SymmetryOp(compose(self.row_perm, rows), compose(self.col_perm, cols), self.transpose != other.transpose)
+
+
+def q1_without_even_factor(chi):
+    value = special_q1(chi)
+    return value if chi.rank % 2 else value / 2
+
+
+def q1_last_factorial_n(chi):
+    # n! rather than (n + 1)! at even rank
+    value = special_q1(chi)
+    return value if chi.rank % 2 else value * (chi.rank + 1)
+
+
+def parse_without_sign(text):
+    literal = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if literal is None:
+        raise ValueError(f"not an exact rational literal: {text!r}")
+    return Fraction(abs(int(literal[1])), int(literal[2] or 1))
+
+
+def bulk_through_floats(records, rank, mode):
+    # each distinct value read as the nearest float
+    components = _bulk_components(records, rank, mode)
+    return components and {idx: Fraction(float(value)) for idx, value in components.items()}
+
+
 def unsigned_relabelings():
     # every relabeling keeps the value's sign, so odd ranks lose the odd ones' negation
     return tuple((relabel, 1) for relabel, _ in _RELABELINGS)
@@ -208,6 +277,28 @@ MUTANTS = [
         lambda: untransposed_minimum, [representative_counts, canonical_csv_digest(6), canonical_csv_digest(7)],
     ),
     ("mc-chunk-halved", rotavg.oracle, "_MC_CHUNK", lambda: 1 << 15, [mc_report]),
+    ("then-composes-in-reverse", SymmetryOp, "then", lambda: then_reversed, [then_matches_two_applications]),
+    ("then-accepts-an-op-outside-the-72", SymmetryOp, "then", lambda: then_by_perms, [then_rejects_outside_ops]),
+    (
+        "special-q1-without-the-even-factor", rotavg.evaluator, "special_q1", lambda: q1_without_even_factor,
+        [q1_through_rank_20],
+    ),
+    (
+        "special-q1-with-n-factorial-at-even-rank", rotavg.evaluator, "special_q1", lambda: q1_last_factorial_n,
+        [q1_through_rank_20],
+    ),
+    (
+        "parse-rational-drops-the-sign", rotavg.rationals, "parse_rational", lambda: parse_without_sign,
+        [parse_matches_fraction],
+    ),
+    (
+        "bulk-reads-values-through-floats", rotavg.tensors, "_bulk_components", lambda: bulk_through_floats,
+        [bulk_matches_record_loop],
+    ),
+    (
+        "parity-bits-miss-position-7", rotavg.propositions, "_PARITY_BITS",
+        lambda: _PARITY_BITS[:7] + (0,) + _PARITY_BITS[8:], [block_signatures, nonzero_enumerate_digest(5)],
+    ),
     (
         "selection-rule-without-rows", rotavg.power_matrix, "_selection_flat", lambda: columns_only,
         [selection_shortcut, special_form_needs_selection, four_checks_match_six],

@@ -188,6 +188,25 @@ class TestSymmetryGroup:
         composites = {a.then(b) for a in ALL_OPS for b in ALL_OPS}
         assert composites == set(ALL_OPS)
 
+    def test_then_matches_two_applications_for_every_pair(self):
+        # nine distinct entries, so an image names the op that made it
+        chi = PowerMatrix.from_flat(range(9))
+        for a in ALL_OPS:
+            once = apply_symmetry(chi, a)
+            for b in ALL_OPS:
+                assert apply_symmetry(once, b) == apply_symmetry(chi, a.then(b)), (a, b)
+
+    @pytest.mark.parametrize("bad", [SymmetryOp((0, 0, 1), (0, 1, 2)), SymmetryOp([1, 0, 2], [0, 1, 2])])
+    def test_then_rejects_an_op_outside_the_72(self, bad):
+        # the hand-written composition once returned an op for both; list perms
+        # made apply_symmetry raise a TypeError, since they do not hash
+        with pytest.raises(ValueError):
+            bad.then(IDENTITY_OP)
+        with pytest.raises(ValueError):
+            IDENTITY_OP.then(bad)
+        with pytest.raises(ValueError):
+            apply_symmetry(IDENT3, bad)
+
     @given(symmetry_ops, symmetry_ops)
     def test_sign_is_multiplicative(self, a, b):
         assert a.then(b).sign == a.sign * b.sign

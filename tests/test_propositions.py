@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -29,13 +30,12 @@ from rotavg import (
     verify_prime_nonvanishing,
 )
 from rotavg.power_matrix import _FLAT_OPS, _selection_flat, canonical_flat
-from rotavg import evaluator
+from rotavg import evaluator, propositions
 from rotavg.propositions import (
     _PREFIX_LEN,
     _compositions,
     _prefix_signature,
     _selection_target,
-    _suffix_signature,
     _table_blocks,
     canonical_representatives,
 )
@@ -116,14 +116,32 @@ class TestEnumeration:
         assert total == enumeration_count(n)
 
 
+def table_signature(entries, start=0):
+    """XOR of propositions._PARITY_BITS over the odd entries, the first at flat position start.
+
+    Read through the module, so the mutant table can patch it.
+    """
+    signature = 0
+    for k, entry in enumerate(entries, start):
+        if entry & 1:
+            signature ^= propositions._PARITY_BITS[k]
+    return signature
+
+
 class TestBlockWalk:
     @pytest.mark.parametrize("n", range(8))
     def test_signatures_decide_the_selection_rule(self, n):
         target = _selection_target(n)
         for chi in enumerate_power_matrices(n):
             f = chi.flat
-            signature = _prefix_signature(*f[:_PREFIX_LEN]) ^ _suffix_signature(*f[_PREFIX_LEN:])
+            signature = _prefix_signature(*f[:_PREFIX_LEN]) ^ table_signature(f[_PREFIX_LEN:], _PREFIX_LEN)
             assert (signature == target) == _selection_flat(f), f
+
+    @pytest.mark.parametrize("pattern", itertools.product((0, 1), repeat=_PREFIX_LEN))
+    def test_prefix_formula_is_the_table(self, pattern):
+        # the prefix side stays a formula; every parity pattern, at two sizes of entry
+        for prefix in (pattern, tuple(2 + bit for bit in pattern)):
+            assert _prefix_signature(*prefix) == table_signature(prefix), prefix
 
     @pytest.mark.parametrize("canonical_only", [False, True])
     @pytest.mark.parametrize("n", [0, 1, 5, 8, 9])

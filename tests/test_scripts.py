@@ -76,6 +76,33 @@ class TestExportRankTables:
         assert run_script(monkeypatch, "export_rank_tables", *argv) == EXIT_LIMIT
         assert list(tmp_path.iterdir()) == []
 
+    def test_rank_past_the_int_string_limit_exits_3(self, monkeypatch, capsys, tmp_path, digit_limit):
+        # the RankLimitError was caught as a ValueError and exited 2
+        outdir = tmp_path / "tables"
+        argv = ["--ranks", "0.." + "9" * 5000, "--outdir", str(outdir)]
+        assert run_script(monkeypatch, "export_rank_tables", *argv) == EXIT_LIMIT
+        assert not outdir.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the --ranks value's rank of 5000 digits exceeds the interpreter's limit of {digit_limit} digits "
+            "for integer string conversion\n"
+        )
+
+    def test_top_rank_over_the_ceiling_writes_nothing(self, monkeypatch, capsys, tmp_path):
+        # ranks below the ceiling were written, and left, before the top one failed
+        def no_run(argv):
+            raise AssertionError(f"rotavg ran {argv}")
+
+        monkeypatch.setattr("rotavg.cli.main", no_run)
+        outdir = tmp_path / "tables"
+        argv = ["--ranks", f"9..{DEFAULT_ENUMERATE_LIMIT + 1}", "--outdir", str(outdir)]
+        assert run_script(monkeypatch, "export_rank_tables", *argv) == EXIT_LIMIT
+        assert not outdir.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rank {DEFAULT_ENUMERATE_LIMIT + 1} exceeds the ceiling {DEFAULT_ENUMERATE_LIMIT}\n"
+
     @pytest.mark.parametrize("outdir", ["taken", "taken/tables"])
     def test_unwritable_outdir_is_a_parse_error(self, monkeypatch, capsys, tmp_path, outdir):
         # a file at or above --outdir once ended in a FileExistsError or
@@ -163,6 +190,21 @@ class TestRunVerification:
             run_script(monkeypatch, "run_verification", flag, text)
         assert exc.value.code == EXIT_PARSE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", ["--max-rank", "--props-max-rank", "--mc-samples", "--seed"])
+    def test_integer_flag_past_the_int_string_limit_exits_3(self, monkeypatch, capsys, digit_limit, flag):
+        # a long --max-rank once ended in a TypeError traceback comparing it with an int
+        def no_run(argv):
+            raise AssertionError(f"rotavg ran {argv}")
+
+        monkeypatch.setattr("rotavg.cli.main", no_run)
+        assert run_script(monkeypatch, "run_verification", flag, "9" * 5000) == EXIT_LIMIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the {flag} value of 5000 digits exceeds the interpreter's limit of {digit_limit} digits "
+            "for integer string conversion\n"
+        )
 
     def test_negative_max_rank_is_a_parse_error(self, monkeypatch, capsys):
         # once reported "ok": true after checking nothing

@@ -341,6 +341,23 @@ class TestBulkReader:
         valid = isinstance(read[0], list)
         assert (bulk(json.loads(json.dumps(components)), rank, mode) is not None) == valid
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bulk_matches_the_record_loop_on_many_literals(self, seed):
+        # hundreds of distinct literals, each in several spellings, and plain ints,
+        # read once each in bulk and once per record by the loop
+        rng = random.Random(seed)
+        rank, records_ = 6, []
+        for idx in itertools.product((1, 2, 3), repeat=rank):
+            factor = rng.randrange(1, 4)
+            p, q = rng.randrange(-400, 400) * factor, rng.randrange(1, 60) * factor
+            value = rng.choice([f"{p}/{q}", f"{'-' * (p < 0)}0{abs(p)}/{q}", str(p), p, 0])
+            records_.append({"idx": list(idx), "value": value})
+        assert len({r["value"] for r in records_}) > 300
+        bulk = rotavg.tensors._bulk_components(records_, rank, "exact")
+        loop = rotavg.tensors._checked_components(((r["idx"], r["value"]) for r in records_), rank, "exact")
+        assert list(bulk.items()) == list(loop.items())
+        assert {type(value) for value in bulk.values()} == {Fraction}
+
     def test_equal_literals_share_one_fraction(self):
         obj = {"rank": 1, "mode": "exact", "components": records(([1], "2/4"), ([2], "1/2"), ([3], "2/4"))}
         values = list(DenseTensor.from_json_obj(obj).components.values())
