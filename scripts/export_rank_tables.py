@@ -18,8 +18,8 @@ import sys
 import time
 from pathlib import Path
 
-from rotavg.cli import DEFAULT_ENUMERATE_LIMIT, EXIT_LIMIT, EXIT_PARSE, _parse_rank_range, main as rotavg
-from rotavg.tensors import RankLimitError, _check_ceiling
+from rotavg.cli import DEFAULT_ENUMERATE_LIMIT, _parse_rank_range, failure, main as rotavg
+from rotavg.tensors import _check_ceiling
 
 
 def main() -> int:
@@ -34,8 +34,7 @@ def main() -> int:
         ranks = _parse_rank_range(args.ranks)
         _check_ceiling(ranks[-1], DEFAULT_ENUMERATE_LIMIT)
     except ValueError as exc:  # RankLimitError is one
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT if isinstance(exc, RankLimitError) else EXIT_PARSE
+        return failure(exc)
     flags = ["--nonzero"] * args.nonzero + ["--canonical"] * args.canonical
 
     outdir = Path(args.outdir)
@@ -46,8 +45,7 @@ def main() -> int:
             outdir.mkdir(parents=True, exist_ok=True)
             handle = path.open("w", encoding="utf-8")
         except OSError as exc:  # a file in the way, or no permission
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return failure(exc)
         with handle, contextlib.redirect_stdout(handle):
             code = rotavg(["enumerate", "-n", str(n), *flags])
         if code:

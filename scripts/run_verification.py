@@ -22,8 +22,7 @@ import io
 import json
 import sys
 
-from rotavg.cli import EXIT_LIMIT, EXIT_PARSE, _check_digit_limits, integer, main as rotavg
-from rotavg.tensors import RankLimitError
+from rotavg.cli import EXIT_LIMIT, EXIT_PARSE, _check_digit_limits, failure, integer, main as rotavg
 
 
 def main() -> int:
@@ -36,11 +35,11 @@ def main() -> int:
     parser.add_argument("--seed", type=integer, help="default: rotavg verify's")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     args = parser.parse_args()
-    try:
+    try:  # before the battery runs, not after
         _check_digit_limits(args)
-    except RankLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    except (ValueError, OSError) as exc:  # a flag past the int-string limit, or an --out that cannot be written
+        return failure(exc)
 
     mc = [f"--{name}={value}" for name, value in
           (("mc-samples", args.mc_samples), ("seed", args.seed)) if value is not None]
@@ -49,11 +48,6 @@ def main() -> int:
         props = f"{args.max_rank + 1}..{args.props_max_rank}"
         commands.append(["verify", "--suite", "props", "-n", props])
 
-    try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
-    except OSError as exc:  # before the battery runs, not after
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     with out as handle:
         runs, worst = [], 0
         for argv in commands:

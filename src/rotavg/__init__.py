@@ -55,11 +55,10 @@ from .propositions import (
     verify_odd_rule,
     verify_prime_nonvanishing,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import RankLimitError, format_rational, parse_rational
 from .tensors import (
     ComponentGroup,
     DenseTensor,
-    RankLimitError,
     average_component,
     average_tensor,
     group_by_power_matrix,

@@ -2,8 +2,9 @@
 
 Exit codes are stable: 0 success, 1 verification violation, 2 parse error,
 3 limit exceeded, 141 (128 + SIGPIPE) when the reader of stdout closes
-it early.  Commands raise; main alone maps a RankLimitError to 3 and any
-other ValueError or OSError to 2, with one "error:" line on stderr.
+it early.  Commands raise; failure alone maps a RankLimitError to 3 and
+any other ValueError or OSError to 2, with one "error:" line on stderr,
+for main and for the scripts in scripts/.
 Integer inputs are ASCII digits with an optional minus sign.  Exact
 rationals render as "p/q"; floats are shortest round-trip.  The commands
 build no orbit caches: the full enumerate walk and the tensor kernel under
@@ -40,15 +41,8 @@ from .propositions import (
     _table_blocks,
     rank_table,
 )
-from .rationals import format_rational
-from .tensors import (
-    DEFAULT_MAX_RANK,
-    DenseTensor,
-    RankLimitError,
-    _check_ceiling,
-    _digit_limit_error,
-    average_tensor,
-)
+from .rationals import RankLimitError, format_rational, read_int, render
+from .tensors import DEFAULT_MAX_RANK, DenseTensor, _check_ceiling, average_tensor
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -80,8 +74,8 @@ def integer(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"bad integer {text!r}; expected ASCII digits")
     try:
-        return int(text)
-    except ValueError:
+        return read_int(text, "an integer")
+    except RankLimitError:
         return _PastDigitLimit(text)
 
 
@@ -89,14 +83,14 @@ def _check_digit_limits(args: argparse.Namespace) -> None:
     """A RankLimitError naming the first integer flag of parsed args past the int-string limit."""
     for name, value in vars(args).items():
         if isinstance(value, _PastDigitLimit):
-            raise _digit_limit_error(f"the --{name.replace('_', '-')} value of {len(value.lstrip('-'))} digits")
+            read_int(value, f"the --{name.replace('_', '-')} value")  # raises
 
 
 def ceiling(text: str) -> int:
-    """A --max-rank value: an integer of at least 0, so a negative one is malformed, not a limit."""
+    """A --max-rank value: an integer of at least 0, so a negative one of any length is malformed, not a limit."""
     value = integer(text)
-    if type(value) is int and value < 0:
-        raise argparse.ArgumentTypeError(f"a rank ceiling must be at least 0, not {value}")
+    if text.startswith("-") and text.lstrip("-0"):
+        raise argparse.ArgumentTypeError(f"a rank ceiling must be at least 0, not {text}")
     return value
 
 
@@ -112,13 +106,6 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _limited_int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # a JSON integer fails to read only past the int-string limit
-        raise _digit_limit_error(f"an integer of {len(digits.lstrip('-'))} digits") from None
-
-
 def _load_json(text: str, what: str):
     """Decoded JSON text; malformed or too deeply nested text is a ValueError naming what.
 
@@ -132,7 +119,7 @@ def _load_json(text: str, what: str):
     except ValueError:
         # a repeated key or an integer past the limit; only this second
         # decode pays a Python call per integer, to tell which comes first
-        json.loads(text, object_pairs_hook=_unique_keys, parse_int=_limited_int)
+        json.loads(text, object_pairs_hook=_unique_keys, parse_int=lambda digits: read_int(digits, "an integer"))
         raise
 
 
@@ -166,7 +153,7 @@ def _output_record(chi: PowerMatrix) -> dict:
     return {
         "chi": chi.to_lists(),
         "rank": chi.rank,
-        "value": format_rational(value),
+        "value": render(value, lambda: "the value"),
         "value_float": float(value),
         "selection_rule": selection_rule(chi),
         "det": determinant(chi),
@@ -232,7 +219,7 @@ def _cmd_enumerate(args) -> int:
     # keeps its object alive, so an id is never reused meanwhile.
     tails: dict = {}
 
-    def render(value) -> str:
+    def value_tail(value) -> str:
         entry = tails.get(id(value))
         if entry is None:
             entry = tails[id(value)] = (value, tail % (n, format_rational(value), float(value)))
@@ -247,11 +234,11 @@ def _cmd_enumerate(args) -> int:
             if rows:
                 pieces = pieces.copy()
                 for i, value in rows:
-                    pieces[i] = pieces[i][:cut] + render(value)
+                    pieces[i] = pieces[i][:cut] + value_tail(value)
             write(head_text + head_text.join(pieces))
         else:
             kept = [
-                head_text + pieces[i][:cut] + render(value) for i, value in rows if value or not args.nonzero
+                head_text + pieces[i][:cut] + value_tail(value) for i, value in rows if value or not args.nonzero
             ]
             if kept:
                 write("".join(kept))
@@ -262,11 +249,7 @@ def _parse_rank_range(text: str) -> range:
     """Ranks "N" or "N..M" with N <= M, written in ASCII digits and nothing else."""
     match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
     if match:
-        try:
-            start, stop = int(match[1]), int(match[2] or match[1])
-        except ValueError:  # ASCII digits, so past the int-string limit
-            digits = max(len(match[1]), len(match[2] or ""))
-            raise _digit_limit_error(f"the --ranks value's rank of {digits} digits") from None
+        start, stop = (read_int(end, "the --ranks value's rank") for end in match.groups(match[1]))
         if start <= stop:
             return range(start, stop + 1)
     raise ValueError(f"bad rank range {text!r}; expected N or N..M")
@@ -448,8 +431,13 @@ def main(argv=None) -> int:
             os.close(devnull)
         return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:  # RankLimitError and UnicodeDecodeError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT if isinstance(exc, RankLimitError) else EXIT_PARSE
+        return failure(exc)
+
+
+def failure(exc: Exception) -> int:
+    """Report exc as one "error:" line on stderr; the exit code is 3 for a RankLimitError, else 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_LIMIT if isinstance(exc, RankLimitError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

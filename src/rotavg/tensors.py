@@ -34,7 +34,7 @@ import numpy as np
 
 from .evaluator import ValueCache
 from .power_matrix import _PERMS3, PowerMatrix, _axes, _pair_flat, _perm_sign, _strict_int
-from .rationals import _RATIONAL_RE, format_rational, parse_rational
+from .rationals import RankLimitError, _digit_limit_error, parse_rational, render
 
 IndexTuple = tuple[int, ...]
 
@@ -57,25 +57,10 @@ _TAIL = 6
 _RELABELINGS = tuple(((0, *(axis + 1 for axis in p)), _perm_sign(p)) for p in _PERMS3)
 
 
-class RankLimitError(ValueError):
-    """A requested rank, or another size, exceeds its ceiling."""
-
-
 def _check_ceiling(rank: int, ceiling: int, name: str = "ceiling") -> None:
     if rank > ceiling:
-        try:
-            message = f"rank {rank} exceeds the {name} {ceiling}"
-        except ValueError:  # str of a rank past the int-string limit
-            raise _digit_limit_error(f"the rank, above the {name} {ceiling},") from None
-        raise RankLimitError(message)
-
-
-def _digit_limit_error(subject: str) -> RankLimitError:
-    """The error for subject, a number with more digits than the interpreter's int-string limit allows."""
-    return RankLimitError(
-        f"{subject} exceeds the interpreter's limit of "
-        f"{sys.get_int_max_str_digits()} digits for integer string conversion"
-    )
+        rank_text = render(rank, lambda: f"the rank, above the {name} {ceiling},")
+        raise RankLimitError(f"rank {rank_text} exceeds the {name} {ceiling}")
 
 
 def _coerce_value(value, mode: str):
@@ -118,11 +103,8 @@ def _checked_components(pairs, rank: int, mode: str) -> dict[IndexTuple, object]
             raise ValueError(f"duplicate index tuple {list(idx)}")
         try:
             components[idx] = _coerce_value(value, mode)
-        except ValueError:
-            # a literal of format_rational's form fails to read only past the int-string limit
-            if mode == "exact" and isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
-                raise _digit_limit_error(f"the value at index {list(idx)}") from None
-            raise
+        except RankLimitError:  # a literal past the int-string limit, named by its index
+            raise _digit_limit_error(f"the value at index {list(idx)}") from None
     return {idx: value for idx, value in components.items() if value}
 
 
@@ -208,13 +190,11 @@ class DenseTensor:
         return ((idx, get(idx, zero)) for idx in self.index_space(self.rank))
 
     def to_json_obj(self, nonzero_only: bool = False) -> dict:
-        render = format_rational if self.mode == "exact" else float
+        exact = self.mode == "exact"
         records = []
         for idx, value in self._items(nonzero_only):
-            try:
-                records.append({"idx": list(idx), "value": render(value)})
-            except ValueError:  # str of an int past the limit
-                raise _digit_limit_error(f"the value at index {list(idx)}") from None
+            value = render(value, lambda: f"the value at index {list(idx)}") if exact else float(value)
+            records.append({"idx": list(idx), "value": value})
         return {"rank": self.rank, "mode": self.mode, "components": records}
 
     def to_json_text(self, nonzero_only: bool = False) -> str:
@@ -249,10 +229,8 @@ class DenseTensor:
         for idx, value in sorted(self.components.items()):
             entry = texts.get(id(value))
             if entry is None:
-                try:
-                    entry = texts[id(value)] = (value, ('"%s"' if exact else "%r") % value + "\n    }")
-                except ValueError:  # str of an int past the limit
-                    raise _digit_limit_error(f"the value at index {list(idx)}") from None
+                text = '"%s"' % render(value, lambda: f"the value at index {list(idx)}") if exact else repr(value)
+                entry = texts[id(value)] = (value, text + "\n    }")
             rows.setdefault(idx[:cut], []).append((tail_at[idx[cut:]], entry[1]))
         if nonzero_only:
             blocks = rows.items()

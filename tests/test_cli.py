@@ -98,30 +98,6 @@ class TestCompute:
         record = run_json(capsys, "compute", "--chi", "[[0,0,0],[0,0,0],[0,0,120]]")
         assert record["value"] == "1/121"
 
-    def test_a_rank_past_the_int_string_limit_is_a_limit(self, capsys, digit_limit):
-        # each entry reads, but the rank has one digit more; the ceiling's
-        # message once failed to render it and the command exited 2
-        big = "9" * digit_limit
-        code = main(["compute", "--chi", f"[[{big},0,0],[0,{big},0],[0,0,0]]"])
-        captured = capsys.readouterr()
-        assert code == EXIT_LIMIT
-        assert captured.out == ""
-        assert captured.err == (
-            "error: the rank, above the ceiling 120, exceeds the interpreter's limit of 4300 digits "
-            "for integer string conversion\n"
-        )
-
-    def test_a_json_integer_past_the_int_string_limit_is_a_limit(self, capsys, digit_limit):
-        # json.loads once raised the interpreter's own ValueError: exit 2
-        code = main(["compute", "--chi", f"[[{'1' * 5000},0,0],[0,0,0],[0,0,0]]"])
-        captured = capsys.readouterr()
-        assert code == EXIT_LIMIT
-        assert captured.out == ""
-        assert captured.err == (
-            "error: an integer of 5000 digits exceeds the interpreter's limit of 4300 digits "
-            "for integer string conversion\n"
-        )
-
 
 class TestEnumerate:
     def test_rank0_single_record(self, capsys):
@@ -429,35 +405,6 @@ class TestAverage:
                 "for integer string conversion\n"
             )
         assert not out.exists()
-
-    def test_a_literal_past_the_int_string_limit_is_a_limit(self, capsys, tmp_path, digit_limit):
-        # it once exited 2 with the interpreter's advice and named no record
-        components = [{"idx": [1], "value": "1/2"}, {"idx": [3], "value": "1" * 5000}]
-        path = write_tensor(tmp_path, "long.json", {"rank": 1, "mode": "exact", "components": components})
-        code = main(["average", path])
-        captured = capsys.readouterr()
-        assert code == EXIT_LIMIT
-        assert captured.out == ""
-        assert captured.err == (
-            "error: the value at index [3] exceeds the interpreter's limit of 4300 digits for integer string conversion\n"
-        )
-
-    def test_a_json_integer_past_the_int_string_limit_is_a_limit(self, capsys, tmp_path, digit_limit):
-        # json.loads once raised the interpreter's own ValueError before any
-        # check ran: exit 2 with the interpreter's advice
-        path = tmp_path / "long.json"
-        path.write_text(
-            '{"rank": 1, "mode": "exact", "components": [{"idx": [1], "value": -%s}]}' % ("1" * 5000),
-            encoding="utf-8",
-        )
-        code = main(["average", str(path)])
-        captured = capsys.readouterr()
-        assert code == EXIT_LIMIT
-        assert captured.out == ""
-        assert captured.err == (
-            "error: an integer of 5000 digits exceeds the interpreter's limit of 4300 digits "
-            "for integer string conversion\n"
-        )
 
     def test_the_first_of_a_repeated_key_and_a_long_integer_decides(self, capsys, tmp_path, digit_limit):
         # a decoded object's keys are checked when the object closes, after its values

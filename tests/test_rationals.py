@@ -5,7 +5,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from rotavg import format_rational, parse_rational, rationals
+import rotavg
+from rotavg import RankLimitError, format_rational, parse_rational, rationals
 
 
 def test_format_examples():
@@ -52,3 +53,39 @@ def test_parse_matches_fraction_on_the_whole_grammar(seed):
     for text in seeded_literals(seed, 300):
         value = rationals.parse_rational(text)
         assert type(value) is Fraction and value == Fraction(text), text
+
+
+@pytest.mark.parametrize(
+    "text,part", [("1/" + "7" * 5000, "denominator"), ("-" + "7" * 5000 + "/3", "numerator")]
+)
+def test_parse_past_the_int_string_limit_is_a_limit(digit_limit, text, part):
+    # the interpreter's own ValueError once leaked, advising sys.set_int_max_str_digits
+    with pytest.raises(RankLimitError) as exc:
+        parse_rational(text)
+    assert str(exc.value) == (
+        f"a rational literal's {part} of 5000 digits exceeds the interpreter's limit of {digit_limit} digits "
+        "for integer string conversion"
+    )
+
+
+def test_render_builds_its_subject_only_on_failure(digit_limit):
+    def subject():
+        calls.append(1)
+        return "the value"
+
+    calls = []
+    assert rationals.render(Fraction(-2, 4), subject) == "-1/2"
+    assert calls == []
+    with pytest.raises(RankLimitError, match="^the value exceeds the interpreter's limit of 4300 digits"):
+        rationals.render(10**5000, subject)
+    assert calls == [1]
+
+
+def test_read_int_names_the_digits_it_read(digit_limit):
+    assert rationals.read_int("-" + "9" * digit_limit, "x") == -(10**digit_limit - 1)
+    with pytest.raises(RankLimitError, match="^an end of 4301 digits exceeds"):
+        rationals.read_int("-" + "9" * (digit_limit + 1), "an end")
+
+
+def test_one_rank_limit_error_class():
+    assert rotavg.RankLimitError is rotavg.tensors.RankLimitError is rationals.RankLimitError
